@@ -6,6 +6,14 @@ scipy's scaling-and-squaring Pade implementation.  Evolutions re-validate
 the CPTP invariants at every step; eigenvalues in (-1e-10, 0) are clamped
 to zero with renormalization and the clamp count is reported on the
 trajectory.
+
+The effective generator sum kappa[n,m] D_{|n><m|} is purely incoherent: it
+is a classical (Pauli) rate equation on the populations, and every
+coherence decays on its own.  ``kappa_generator`` fills its D^2 x D^2
+matrix directly from those two parts, and ``evolve_effective`` steps them
+separately without ever forming that matrix.  The generic ``generator``
+builds from ``dissipator_matrix`` products and is the reference both are
+tested against.
 """
 
 from __future__ import annotations
@@ -135,19 +143,31 @@ def generator(
     return sup
 
 
-def kappa_generator(kappa) -> Superoperator:
-    """Effective generator sum_{nm} kappa[n,m] D_{|n><m|}."""
+def _rates(kappa) -> tuple[np.ndarray, np.ndarray]:
+    """Population rate matrix and coherence decay rates of sum kappa D_{|n><m|}.
+
+    With Gamma_m = sum_n kappa[n, m] (the self-jump n = m included), the
+    populations obey dp/dt = A p with A = kappa - diag(Gamma), and each
+    coherence rho_ab (a != b) decays on its own at (Gamma_a + Gamma_b) / 2.
+    The diagonal of the decay array (Gamma itself) belongs to no coherence;
+    callers overwrite it.
+    """
     entries = np.asarray(getattr(kappa, "entries", kappa), dtype=float)
-    d = entries.shape[0]
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for n in range(d):
-        for m in range(d):
-            rate = entries[n, m]
-            if rate == 0.0:
-                continue
-            R = np.zeros((d, d), dtype=complex)
-            R[n, m] = 1.0
-            mat += rate * dissipator_matrix(R)
+    gamma = entries.sum(axis=0)
+    return entries - np.diag(gamma), (gamma[:, None] + gamma[None, :]) / 2
+
+
+def kappa_generator(kappa) -> Superoperator:
+    """Effective generator sum_{nm} kappa[n,m] D_{|n><m|}.
+
+    Filled directly: the population block sits at the vec indices a + d a,
+    and each coherence gets its decay rate on the diagonal.
+    """
+    pop, decay = _rates(kappa)
+    d = pop.shape[0]
+    mat = np.diag(-decay.reshape(-1, order="F")).astype(complex)
+    diag_idx = np.arange(d) * (d + 1)
+    mat[np.ix_(diag_idx, diag_idx)] = pop
     return Superoperator(mat, "generator")
 
 
@@ -531,21 +551,27 @@ class EvolutionConfig:
 def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajectory:
     """Iterate rho -> exp(g sum kappa D) rho for cfg.steps steps.
 
-    The step map is exponentiated once and reused.
+    The generator is block-diagonal in the split populations/coherences,
+    so the step map is applied exactly without forming the D^2 x D^2
+    matrix: the diagonal goes through the d x d map expm(g A) of the
+    population rate matrix, and each off-diagonal entry rho_ab is scaled
+    by exp(-g (Gamma_a + Gamma_b) / 2).  Both are computed once and reused.
     """
-    gen = kappa_generator(kappa)
+    pop, decay = _rates(kappa)
     validate_density_matrix(rho0, "initial state")
-    step = expm(cfg.g * gen.matrix)
+    pop_step = expm(cfg.g * pop)
+    mask = np.exp(-cfg.g * decay)
     states = [np.asarray(rho0, dtype=complex).copy()]
     clamp_total = 0
-    v = vec(rho0)
+    state = states[0]
     for k in range(cfg.steps):
-        v = step @ v
-        rho = unvec(v, gen.dim)
-        rho, clamped = clamp_density_matrix(rho, f"step {k + 1}")
+        populations = pop_step @ state.diagonal()
+        state = mask * state
+        np.fill_diagonal(state, populations)
+        rho, clamped = clamp_density_matrix(state, f"step {k + 1}")
         clamp_total += clamped
         if clamped:
-            v = vec(rho)
+            state = rho
         states.append(rho)
     return Trajectory(states, g=cfg.g, clamped=clamp_total)
 

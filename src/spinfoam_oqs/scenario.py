@@ -132,6 +132,25 @@ class ScenarioConfig:
             cfg.setdefault(
                 "basis", [str(i) for i in range(len(cfg["kappa"]))]
             )
+        dim = len(cfg["basis"])
+        coherences = cfg["coherences"]
+        if not isinstance(coherences, (list, tuple)):
+            raise ScenarioError(
+                f"coherences must be a list of index pairs, got {coherences!r}"
+            )
+        for pair in coherences:
+            if not (
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and all(
+                    isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim
+                    for i in pair
+                )
+            ):
+                raise ScenarioError(
+                    f"coherences entry {pair!r} is not a pair of basis indices "
+                    f"in [0, {dim})"
+                )
         return cls(cfg)
 
     @classmethod
@@ -337,9 +356,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
             EvolutionConfig(g=float(evo["g"]), steps=int(evo["steps"])),
             rho0,
         )
-        coherences = [tuple(int(x) for x in pair) for pair in cfg.get("coherences", [])]
         (out / "trajectory.csv").write_text(
-            trajectory_csv(traj, basis, coherences), encoding="utf-8", newline="\n"
+            trajectory_csv(traj, basis, cfg["coherences"]), encoding="utf-8", newline="\n"
         )
         report["outputs"].append("trajectory.csv")
         report["clamped_eigenvalues"] = traj.clamped

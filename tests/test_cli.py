@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -34,6 +35,29 @@ def test_config_validation_errors(tmp_path):
         ScenarioConfig.from_mapping(
             {"backend": "asymptotic", "asymptotic": {"lambda1": 1.0}}
         )
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[-1, 0], [0, 9], ["a", 1], [0, 1, 2]],
+    ids=["negative", "out_of_range", "non_int", "triple"],
+)
+def test_bad_coherence_pair_rejected_before_any_output(tmp_path, pair):
+    data = json.loads((SCENARIOS / "explicit_kappa_identity.json").read_text())
+    data["kappa"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    data["basis"] = ["0", "1", "2"]
+    data["evolution"]["initial"] = "0"
+    data["coherences"] = [[0, 1], pair]
+    with pytest.raises(ScenarioError, match=r"coherences.*" + re.escape(repr(pair))):
+        ScenarioConfig.from_mapping(data)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert "coherences" in report["error"]
+    assert not (tmp_path / "run" / "kappa.csv").exists()
 
 
 def test_defaults_are_echoed_in_report(tmp_path):

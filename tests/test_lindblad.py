@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinfoam_oqs.amplitudes import KappaMatrix
@@ -381,6 +383,115 @@ def test_evolve_effective_population_conserved():
         km, EvolutionConfig(g=0.5, steps=40), maximally_mixed(4)
     )
     assert np.max(np.abs(traj.traces() - 1.0)) < 1e-12
+
+
+# --- kappa generator by structure vs the dissipator reference --------------------
+
+def random_kappa(rng, d, convention, zero_frac, dead_columns=False):
+    """Normalized rates with about ``zero_frac`` of them zero.
+
+    With ``dead_columns`` (over_m, d >= 3) two columns are all zero, so no
+    jump leaves those states and the coherence between them never decays.
+    """
+    raw = rng.uniform(0.05, 1.0, size=(d, d)) * (rng.uniform(size=(d, d)) >= zero_frac)
+    if convention == "over_n":
+        raw[0, raw.sum(axis=0) == 0] = 1.0
+        entries = raw / raw.sum(axis=0, keepdims=True)
+    else:
+        live = np.arange(d)
+        if dead_columns and d >= 3:
+            dead = rng.choice(d, size=2, replace=False)
+            raw[:, dead] = 0.0
+            live = np.setdiff1d(live, dead)
+        raw[raw.sum(axis=1) == 0, live[0]] = 1.0
+        entries = raw / raw.sum(axis=1, keepdims=True)
+    return KappaMatrix(tuple(str(i) for i in range(d)), entries, convention)
+
+
+def reference_generator(kappa):
+    d = kappa.dim
+    return generator(
+        None,
+        [(kappa.entries[n, m], jump(d, n, m)) for n in range(d) for m in range(d)],
+    )
+
+
+def random_state(rng, d, rank):
+    A = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+kappa_tables = st.builds(
+    lambda d, convention, seed, zero_frac, dead: random_kappa(
+        np.random.default_rng(seed), d, convention, zero_frac, dead
+    ),
+    st.integers(1, 8),
+    st.sampled_from(["over_n", "over_m"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5, 0.9]),
+    st.booleans(),
+)
+
+
+@given(kappa_tables)
+@settings(max_examples=80, deadline=None)
+def test_kappa_generator_matches_dissipator_reference(kappa):
+    direct = kappa_generator(kappa).matrix
+    reference = reference_generator(kappa).matrix
+    assert np.max(np.abs(direct - reference)) <= 1e-13
+
+
+@given(
+    kappa_tables,
+    st.floats(0.01, 3.0),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+)
+@settings(max_examples=60, deadline=None)
+def test_evolve_effective_matches_dense_step_map(kappa, g, seed, rank):
+    d = kappa.dim
+    rho0 = random_state(np.random.default_rng(seed), d, min(rank, d))
+    steps = 20
+    traj = evolve_effective(kappa, EvolutionConfig(g=g, steps=steps), rho0)
+
+    step = expm(g * reference_generator(kappa).matrix)
+    v = vec(rho0)
+    assert np.max(np.abs(traj.states[0] - rho0)) == 0.0
+    for k in range(steps):
+        v = step @ v
+        rho, clamped = clamp_density_matrix(unvec(v, d))
+        if clamped:
+            v = vec(rho)
+        assert np.max(np.abs(traj.states[k + 1] - rho)) <= 1e-12
+
+
+def test_evolve_effective_undamped_coherence_keeps_its_value():
+    # Rows sum to one, but columns 0 and 1 are zero: no jump leaves 0 or 1.
+    entries = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    km = KappaMatrix(("a", "b", "c"), entries, "over_m")
+    rho0 = np.zeros((3, 3), dtype=complex)
+    rho0[:2, :2] = state_from_amplitudes([0.6, 0.8j])
+    traj = evolve_effective(km, EvolutionConfig(g=0.9, steps=10), rho0)
+    assert np.max(np.abs(traj.states[-1] - rho0)) < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_steady_states_multi_class_first_representative_agrees(seed):
+    # Two or three closed classes, each dense inside, with no rate between
+    # them: the kernel is degenerate, so only the count and the first
+    # representative (the kernel projection of I/d) are independent of the
+    # SVD basis; later ones are not compared.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(4, 11))
+    group = rng.permutation(d) % (2 + seed % 2)
+    raw = rng.uniform(0.05, 1.0, size=(d, d)) * (group[:, None] == group[None, :])
+    km = KappaMatrix(tuple(str(i) for i in range(d)), raw / raw.sum(axis=0), "over_n")
+    direct = steady_states(kappa_generator(km))
+    reference = steady_states(reference_generator(km))
+    assert len(direct) >= 2
+    assert len(direct) == len(reference)
+    assert np.max(np.abs(direct[0] - reference[0])) <= 1e-12
 
 
 # --- subspace relaxer ---------------------------------------------------------------
