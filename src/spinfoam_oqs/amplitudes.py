@@ -15,6 +15,8 @@ either normalization convention (over the out index by default).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -36,11 +38,7 @@ class MissingBoundaryError(ValueError):
 
 
 class ProviderError(RuntimeError):
-    """Amplitude provider failed while filling a matrix entry."""
-
-
-def _tri_t(ta: int, tb: int, tc: int) -> bool:
-    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
+    """Amplitude provider failed while filling a matrix entry or the matrix."""
 
 
 def pr_vertex(j1, j2, j3, j4, j5, j6) -> complex:
@@ -52,10 +50,6 @@ def pr_vertex(j1, j2, j3, j4, j5, j6) -> complex:
     spins = tuple(as_spin(j) for j in (j1, j2, j3, j4, j5, j6))
     total_twice = sum(s.twice_j for s in spins)
     return _PHASES[total_twice % 4] * wigner6j(*spins)
-
-
-def _pr_vertex_t(tjs: tuple[int, ...]) -> complex:
-    return _PHASES[sum(tjs) % 4] * wigner6j(*(Spin(t) for t in tjs))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +230,6 @@ class LinkWeight:
         w[w < GAUSSIAN_TAIL_CUT * w.max()] = 0.0
         return w.astype(complex)
 
-    def support(self, grid: Sequence[Spin]) -> list[Spin]:
-        vec = self.vector(grid)
-        return [s for s, w in zip(grid, vec) if w != 0]
-
 
 class BoundaryState:
     """Finite superposition of product weights over boundary links."""
@@ -301,37 +291,75 @@ class BoundaryState:
 # 3D transition amplitude
 # ---------------------------------------------------------------------------
 
-_TENSOR_CACHE: dict[tuple, np.ndarray] = {}
-_TENSOR_CACHE_MAX = 256
+# Label-free vertex tensors (no open label axis) repeat across foams and
+# runs; they are kept in an LRU bounded by their summed entry count.
+# Tensors with a label axis follow the basis and are never cached.
+_TENSOR_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_TENSOR_CACHE_MAX_ENTRIES = 1 << 20
+_tensor_cache_entries = 0
+_cache_lock = threading.Lock()
+
+# Slot triples of a vertex tensor that must satisfy the triangle rule.
+_VERTEX_TRIADS = ((0, 1, 2), (3, 4, 2), (0, 4, 5), (3, 1, 5))
+
+# Stands in for a label spin above j_max.  Every face lies in two triads
+# and -1 fails the triangle rule in any position, so tensor entries at
+# that label index stay zero, as the empty delta support of the spin does
+# on the per-entry path.
+_OFF_GRID = -1
 
 
-def _vertex_tensor(grids: Sequence[Sequence[Spin]]) -> np.ndarray:
-    """Tetrahedral amplitudes over the product of six per-face grids."""
-    tj = [tuple(s.twice_j for s in g) for g in grids]
-    key = tuple(tj)
-    cached = _TENSOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    dims = tuple(len(g) for g in tj)
+def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> np.ndarray:
+    """Tetrahedral amplitudes over the distinct face axes of one vertex.
+
+    ``tjs[k]`` lists the 2j values along the axis of slot k, and
+    ``pattern[k]`` numbers that axis by first appearance; slots on one
+    axis (the faces pinned to one basis label) take one index, so the
+    tensor has one dimension per distinct axis.  Each triad's triangle
+    rule is checked over the grid at once, and the signed 6j symbol is
+    evaluated only where all four hold; every other entry is zero.
+    """
+    n_axes = max(pattern) + 1
+    dims = [0] * n_axes
+    face = []
+    for k, axis in enumerate(pattern):
+        dims[axis] = len(tjs[k])
+        shape = [1] * n_axes
+        shape[axis] = -1
+        face.append(np.array(tjs[k], dtype=np.int64).reshape(shape))
+    ok = np.ones(dims, dtype=bool)
+    for a, b, c in _VERTEX_TRIADS:
+        ta, tb, tc = face[a], face[b], face[c]
+        ok &= ((ta + tb + tc) % 2 == 0) & (np.abs(ta - tb) <= tc) & (tc <= ta + tb)
+    admissible = np.stack([np.broadcast_to(f, dims)[ok] for f in face], axis=1)
+    spin = {t: Spin(t) for grid in tjs for t in grid if t >= 0}
     T = np.zeros(dims, dtype=complex)
-    for i0, t0 in enumerate(tj[0]):
-        for i1, t1 in enumerate(tj[1]):
-            for i2, t2 in enumerate(tj[2]):
-                if not _tri_t(t0, t1, t2):
-                    continue
-                for i3, t3 in enumerate(tj[3]):
-                    for i4, t4 in enumerate(tj[4]):
-                        if not _tri_t(t3, t4, t2):
-                            continue
-                        for i5, t5 in enumerate(tj[5]):
-                            if not _tri_t(t0, t4, t5) or not _tri_t(t3, t1, t5):
-                                continue
-                            T[i0, i1, i2, i3, i4, i5] = _pr_vertex_t(
-                                (t0, t1, t2, t3, t4, t5)
-                            )
-    if len(_TENSOR_CACHE) >= _TENSOR_CACHE_MAX:
-        _TENSOR_CACHE.clear()
-    _TENSOR_CACHE[key] = T
+    T[ok] = [
+        _PHASES[sum(tj) % 4] * wigner6j(*[spin[t] for t in tj])
+        for tj in admissible.tolist()
+    ]
+    T.flags.writeable = False
+    return T
+
+
+def _cached_vertex_tensor(tjs, pattern) -> np.ndarray:
+    global _tensor_cache_entries
+    key = (tuple(tjs), pattern)
+    with _cache_lock:
+        T = _TENSOR_CACHE.get(key)
+        if T is not None:
+            _TENSOR_CACHE.move_to_end(key)
+            return T
+    T = _vertex_tensor(tjs, pattern)
+    if T.size > _TENSOR_CACHE_MAX_ENTRIES:
+        return T
+    with _cache_lock:
+        if key not in _TENSOR_CACHE:
+            _TENSOR_CACHE[key] = T
+            _tensor_cache_entries += T.size
+        while _tensor_cache_entries > _TENSOR_CACHE_MAX_ENTRIES:
+            _, old = _TENSOR_CACHE.popitem(last=False)
+            _tensor_cache_entries -= old.size
     return T
 
 
@@ -343,109 +371,125 @@ def _face_weight_vector(grid: Sequence[Spin]) -> np.ndarray:
     )
 
 
+def _contract_foam(
+    foam: Foam2Complex,
+    terms: Sequence[tuple[complex, Mapping[int, LinkWeight]]],
+    j_max: Spin,
+    pins: Mapping[int, tuple[int, tuple[int, ...]]] | None = None,
+    shape: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Contract the foam against weighted boundary terms, one einsum each.
+
+    ``pins`` maps a boundary link to ``(axis, twice_js)``: its faces take
+    output axis ``axis`` of ``shape``, with 2j ``twice_js[i]`` at index i.
+    The other boundary links are weighted by each term's link weights, and
+    internal faces are summed with the (-1)^j (2j+1) measure over their
+    range clipped to ``j_max``.  Returns an array of ``shape``.
+    """
+    pins = pins or {}
+    needed = set(foam.boundary_faces.values())
+    missing = needed - set(pins) - set(terms[0][1])
+    if missing:
+        faces = sorted(f for f, l in foam.boundary_faces.items() if l in missing)
+        raise MissingBoundaryError(
+            f"boundary faces {faces} (links {sorted(missing)}) have no assignment"
+        )
+
+    free = {}
+    for f, (lo, hi) in foam.internal_faces.items():
+        grid = Spin.range(lo, Spin(min(hi.twice_j, j_max.twice_j)))
+        if not grid:
+            raise ValueError(f"internal face {f} has an empty grid under j_max={j_max}")
+        free[f] = (tuple(s.twice_j for s in grid), _face_weight_vector(grid))
+
+    pinned = {f: pins[l] for f, l in foam.boundary_faces.items() if l in pins}
+    order = sorted(set(foam.internal_faces) | (set(foam.boundary_faces) - set(pinned)))
+    axis_of = {f: i for i, f in enumerate(order)}
+    open_ids = [len(order) + a for a in range(len(shape))]
+    label_grid = {}
+    for f, (axis, tjs) in pinned.items():
+        axis_of[f] = open_ids[axis]
+        label_grid[f] = tuple(t if t <= j_max.twice_j else _OFF_GRID for t in tjs)
+    unused = [(i, n) for i, n in zip(open_ids, shape) if i not in axis_of.values()]
+
+    grid_all = Spin.range(0, j_max)
+    built: dict[tuple, np.ndarray] = {}
+    total = np.zeros(shape, dtype=complex)
+    for weight, link_weights in terms:
+        if weight == 0:
+            continue
+        grids = dict(label_grid)
+        vecs = {}
+        for f, link in foam.boundary_faces.items():
+            if f in pinned:
+                continue
+            vec = link_weights[link].vector(grid_all)
+            support = np.flatnonzero(vec)
+            if support.size == 0:
+                break
+            # grid_all starts at spin 0, so an index on it is a 2j value.
+            grids[f] = tuple(int(t) for t in support)
+            vecs[f] = vec[support]
+        else:
+            for f, (tjs, vec) in free.items():
+                grids[f] = tjs
+                vecs[f] = vec
+            args = []
+            for faces in foam.vertex_faces:
+                axes = [axis_of[f] for f in faces]
+                distinct = list(dict.fromkeys(axes))
+                pattern = tuple(distinct.index(a) for a in axes)
+                tjs = tuple(grids[f] for f in faces)
+                key = (tjs, pattern)
+                T = built.get(key)
+                if T is None:
+                    if any(f in pinned for f in faces):
+                        T = _vertex_tensor(tjs, pattern)
+                    else:
+                        T = _cached_vertex_tensor(tjs, pattern)
+                    built[key] = T
+                args.extend((T, distinct))
+            for f, vec in vecs.items():
+                args.extend((vec, [axis_of[f]]))
+            for i, n in unused:
+                args.extend((np.ones(n), [i]))
+            args.append(open_ids)
+            total += weight * _einsum(args)
+    return total
+
+
+# Greedy contraction paths by operand shapes and subscripts.  A path is a
+# few tuples; the search is most of a small contraction's cost.
+_EINSUM_PATHS: dict[tuple, list] = {}
+_EINSUM_PATHS_MAX = 1 << 12
+
+
+def _einsum(args: list) -> np.ndarray:
+    """``np.einsum(*args, optimize=True)``, reusing the greedy path."""
+    key = tuple(a.shape if isinstance(a, np.ndarray) else tuple(a) for a in args)
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = np.einsum_path(*args, optimize="greedy")[0]
+        with _cache_lock:
+            if len(_EINSUM_PATHS) >= _EINSUM_PATHS_MAX:
+                _EINSUM_PATHS.clear()
+            _EINSUM_PATHS[key] = path
+    return np.einsum(*args, optimize=path)
+
+
 def pr_transition(
     foam: Foam2Complex,
     boundary: BoundaryState,
     j_max: Spin | float | str = Spin(8),
-    parallel: bool = False,
 ) -> complex:
     """Contract the foam amplitude against a boundary state.
 
     Internal faces are summed with the (-1)^j (2j+1) measure over their
     declared range clipped to ``j_max``; overall normalization is fixed to
     one (all downstream rates divide it out).  Summation order is
-    deterministic; ``parallel=True`` chunks the first internal face across
-    threads, which may move the result by float reassociation at the
-    1e-12 relative level.
+    deterministic.
     """
-    jmax = as_spin(j_max)
-    grid_all = Spin.range(0, jmax)
-
-    needed = set(foam.boundary_faces.values())
-    covered = boundary.links if boundary.terms[0][1] else frozenset()
-    missing = needed - covered
-    if missing:
-        faces = sorted(
-            f for f, l in foam.boundary_faces.items() if l in missing
-        )
-        raise MissingBoundaryError(
-            f"boundary faces {faces} (links {sorted(missing)}) have no assignment"
-        )
-
-    internal_grids: dict[int, list[Spin]] = {}
-    for f, (lo, hi) in foam.internal_faces.items():
-        top = min(hi.twice_j, jmax.twice_j)
-        internal_grids[f] = [Spin(t) for t in range(lo.twice_j, top + 1)]
-        if not internal_grids[f]:
-            raise ValueError(f"internal face {f} has an empty grid under j_max={jmax}")
-
-    total = 0.0 + 0.0j
-    for weight, link_weights in boundary.terms:
-        if weight == 0:
-            continue
-        face_grid: dict[int, list[Spin]] = {}
-        face_vec: dict[int, np.ndarray] = {}
-        for f, link in foam.boundary_faces.items():
-            lw = link_weights[link]
-            support = lw.support(grid_all)
-            if not support:
-                face_grid[f] = []
-                break
-            face_grid[f] = support
-            vec = lw.vector(grid_all)
-            face_vec[f] = np.array([vec[grid_all.index(s)] for s in support])
-        if any(len(g) == 0 for g in face_grid.values()):
-            continue
-        for f, grid in internal_grids.items():
-            face_grid[f] = grid
-            face_vec[f] = _face_weight_vector(grid)
-
-        if parallel and internal_grids:
-            total += weight * _contract_parallel(foam, face_grid, face_vec)
-        else:
-            total += weight * _contract(foam, face_grid, face_vec)
-    return total
-
-
-def _contract(foam, face_grid, face_vec) -> complex:
-    face_axis = {f: i for i, f in enumerate(sorted(face_grid))}
-    operands = []
-    subscripts = []
-    for faces in foam.vertex_faces:
-        operands.append(_vertex_tensor([face_grid[f] for f in faces]))
-        subscripts.append([face_axis[f] for f in faces])
-    for f, vec in face_vec.items():
-        operands.append(vec)
-        subscripts.append([face_axis[f]])
-    args = []
-    for op, sub in zip(operands, subscripts):
-        args.extend((op, sub))
-    args.append([])
-    return complex(np.einsum(*args, optimize=True))
-
-
-def _contract_parallel(foam, face_grid, face_vec, n_chunks: int = 4) -> complex:
-    from concurrent.futures import ThreadPoolExecutor
-
-    internal = sorted(f for f in face_grid if f not in foam.boundary_faces)
-    target = internal[0]
-    grid = face_grid[target]
-    chunks = [grid[i::n_chunks] for i in range(n_chunks)]
-    vecs = [face_vec[target][i::n_chunks] for i in range(n_chunks)]
-
-    def run(chunk_and_vec):
-        chunk, vec = chunk_and_vec
-        if not chunk:
-            return 0.0 + 0.0j
-        fg = dict(face_grid)
-        fv = dict(face_vec)
-        fg[target] = list(chunk)
-        fv[target] = vec
-        return _contract(foam, fg, fv)
-
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-        parts = list(pool.map(run, zip(chunks, vecs)))
-    return sum(parts, start=0.0 + 0.0j)
+    return complex(_contract_foam(foam, boundary.terms, as_spin(j_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +605,9 @@ class FoamProvider:
 
     ``bath`` is a BoundaryState over the non-pinned boundary links, or a
     callable (n_label, m_label) -> BoundaryState when the bath depends on
-    the pinned states.
+    the pinned states.  ``transition_matrix`` builds W with ``matrix``
+    when the bath does not depend on the labels, and entry by entry with
+    ``amplitude`` when it does.
     """
 
     def __init__(
@@ -577,19 +623,11 @@ class FoamProvider:
         self.out_links = tuple(out_links)
         self.bath = bath
         self.j_max = as_spin(j_max)
-        rest = set(foam.boundary_links) - set(self.in_links) - set(self.out_links)
-        self.bath_links = tuple(sorted(rest))
 
-    def _bath_state(self, n_label, m_label) -> BoundaryState | None:
-        if self.bath is None:
-            if self.bath_links:
-                raise MissingBoundaryError(
-                    f"links {list(self.bath_links)} need a bath state"
-                )
-            return None
-        if isinstance(self.bath, BoundaryState):
-            return self.bath
-        return self.bath(n_label, m_label)
+    @property
+    def label_independent(self) -> bool:
+        """True when the bath is one state (or absent) for every label pair."""
+        return self.bath is None or isinstance(self.bath, BoundaryState)
 
     def amplitude(self, n: int, m: int, labels) -> complex:
         n_label, m_label = labels[n], labels[m]
@@ -600,29 +638,55 @@ class FoamProvider:
             zip(self.out_links, label_spins(n_label, len(self.out_links)))
         )
         state = BoundaryState.delta(pins)
-        bath = self._bath_state(n_label, m_label)
+        bath = self.bath if self.label_independent else self.bath(n_label, m_label)
         if bath is not None:
             state = state.merged(bath)
         return pr_transition(self.foam, state, self.j_max)
 
+    def matrix(self, labels) -> np.ndarray:
+        """All of W for a label-independent bath, one contraction per term.
 
-def transition_matrix(
-    provider,
-    basis: Sequence,
-    max_workers: int | None = None,
-) -> TransitionMatrix:
+        Faces on in-links take the open column axis m and faces on
+        out-links the row axis n, each over the label spins of its slot.
+        """
+        pins: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for axis, links in ((1, self.in_links), (0, self.out_links)):
+            spins = [label_spins(label, len(links)) for label in labels]
+            for k, link in enumerate(links):
+                pins[link] = (axis, tuple(s[k].twice_j for s in spins))
+        if self.bath is None:
+            terms = ((1.0, {}),)
+        else:
+            if self.bath.links & pins.keys():
+                raise ValueError("cannot merge boundary states sharing links")
+            terms = self.bath.terms
+        return _contract_foam(self.foam, terms, self.j_max, pins, (len(labels),) * 2)
+
+
+def transition_matrix(provider, basis: Sequence) -> TransitionMatrix:
     """Fill W[n, m] from a provider over all basis pairs.
 
-    Entries are independent, so an optional thread pool changes nothing
-    but wall time.  Provider failures are re-raised with the (n, m)
-    context attached.
+    A FoamProvider with a label-independent bath fills all of W with one
+    contraction per bath term; other providers are asked entry by entry.
+    Provider failures are re-raised with the basis or (n, m) context
+    attached.
     """
     labels = list(basis)
     dim = len(labels)
     names = tuple(label_str(l) for l in labels)
 
-    def one(nm):
-        n, m = nm
+    if isinstance(provider, FoamProvider) and provider.label_independent:
+        try:
+            entries = provider.matrix(labels)
+        except MissingBoundaryError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - context per contract
+            raise ProviderError(
+                f"amplitude provider failed over basis ({', '.join(names)}): {exc}"
+            ) from exc
+        return TransitionMatrix(names, entries)
+
+    def one(n, m):
         try:
             return provider.amplitude(n, m, labels)
         except MissingBoundaryError:
@@ -632,14 +696,7 @@ def transition_matrix(
                 f"amplitude provider failed at (n={names[n]}, m={names[m]}): {exc}"
             ) from exc
 
-    pairs = [(n, m) for n in range(dim) for m in range(dim)]
-    if max_workers and max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            values = list(pool.map(one, pairs))
-    else:
-        values = [one(p) for p in pairs]
+    values = [one(n, m) for n in range(dim) for m in range(dim)]
     entries = np.array(values, dtype=complex).reshape(dim, dim)
     return TransitionMatrix(names, entries)
 

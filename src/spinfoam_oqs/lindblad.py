@@ -558,6 +558,10 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
     by exp(-g (Gamma_a + Gamma_b) / 2).  Both are computed once and reused.
     """
     pop, decay = _rates(kappa)
+    if np.shape(rho0) != pop.shape:
+        raise ValueError(
+            f"initial state has shape {np.shape(rho0)}, kappa has shape {pop.shape}"
+        )
     validate_density_matrix(rho0, "initial state")
     pop_step = expm(cfg.g * pop)
     mask = np.exp(-cfg.g * decay)

@@ -147,7 +147,11 @@ class FactorialTable:
 _table_lock = threading.Lock()
 _table = FactorialTable()
 
-_cache: dict[tuple[int, ...], float] = {}
+_cache: dict[tuple[int, ...], float] = {}  # canonical key -> value
+# First level in front of the canonical key: argument 2j tuple -> value.
+# Emptied when full; every value is still in ``_cache``.
+_raw_cache: dict[tuple[int, ...], float] = {}
+_RAW_CACHE_MAX = 1 << 16
 _cache_lock = threading.Lock()
 
 
@@ -165,33 +169,29 @@ def cache_info() -> dict:
 def clear_cache() -> None:
     with _cache_lock:
         _cache.clear()
-
-
-# Column pairs of the 6j array: ((j1, j4), (j2, j5), (j3, j6)).
-_COLUMN_PERMS = (
-    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-)
-# Flipping (upper <-> lower) is a symmetry for any two columns at once.
-_FLIPS = ((), (0, 1), (0, 2), (1, 2))
+        _raw_cache.clear()
 
 
 def canonical_six_j_key(spins: Iterable[Spin]) -> tuple[int, ...]:
-    """Lexicographically smallest of the 24 classically equivalent orderings."""
+    """Lexicographically smallest of the 24 classically equivalent orderings.
+
+    The symmetries are the column permutations and the upper/lower flips
+    of two columns at once.  For a fixed flip the smallest ordering sorts
+    the columns by (upper, lower), so the key is the smallest of four.
+    """
     t = tuple(s.twice_j for s in spins)
-    cols = ((t[0], t[3]), (t[1], t[4]), (t[2], t[5]))
+    a, b, c = (t[0], t[3]), (t[1], t[4]), (t[2], t[5])
     best = None
-    for flip in _FLIPS:
-        flipped = tuple(
-            (c[1], c[0]) if i in flip else c for i, c in enumerate(cols)
-        )
-        for perm in _COLUMN_PERMS:
-            arranged = tuple(flipped[p] for p in perm)
-            key = (
-                arranged[0][0], arranged[1][0], arranged[2][0],
-                arranged[0][1], arranged[1][1], arranged[2][1],
-            )
-            if best is None or key < best:
-                best = key
+    for cols in (
+        (a, b, c),
+        (a[::-1], b[::-1], c),
+        (a[::-1], b, c[::-1]),
+        (a, b[::-1], c[::-1]),
+    ):
+        x, y, z = sorted(cols)
+        key = (x[0], y[0], z[0], x[1], y[1], z[1])
+        if best is None or key < best:
+            best = key
     return best
 
 
@@ -281,26 +281,30 @@ def wigner6j(j1, j2, j3, j4, j5, j6) -> float:
 
     Non-admissible inputs are legal and return 0 (amplitude sums iterate
     over raw spin grids and rely on silent vanishing).  Values are cached
-    under the canonical symmetry-reduced key.
+    under the canonical symmetry-reduced key, behind a first-level cache
+    keyed on the arguments as given.
     """
-    spins = tuple(as_spin(j) for j in (j1, j2, j3, j4, j5, j6))
+    spins = [as_spin(j) for j in (j1, j2, j3, j4, j5, j6)]
+    raw = tuple([s.twice_j for s in spins])
     table = _table
-    too_big = [s for s in spins if s.twice_j > table.two_j_max]
-    if too_big:
+    if max(raw) > table.two_j_max:
+        too_big = [s for s in spins if s.twice_j > table.two_j_max]
         raise SpinCapacityError(
             f"spins {[str(s) for s in too_big]} exceed 2j_max={table.two_j_max}; "
             "raise the limit with recoupling.configure(two_j_max=...)"
         )
-    key = canonical_six_j_key(spins)
-    hit = _cache.get(key)
+    hit = _raw_cache.get(raw)
     if hit is not None:
         return hit
-    if not _admissible(key):
-        value = 0.0
-    else:
-        value = _racah_value(key, table)
+    key = canonical_six_j_key(spins)
+    value = _cache.get(key)
+    if value is None:
+        value = _racah_value(key, table) if _admissible(key) else 0.0
     with _cache_lock:
         _cache[key] = value
+        if len(_raw_cache) >= _RAW_CACHE_MAX:
+            _raw_cache.clear()
+        _raw_cache[raw] = value
     return value
 
 

@@ -282,7 +282,7 @@ def trajectory_csv(traj: Trajectory, basis, coherences=()) -> str:
     header = ["step", "time"]
     header += [f"p_{label}" for label in basis]
     for i, j in coherences:
-        header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
+        header += [f"re_rho_{i}_{j}", f"im_rho_{i}_{j}"]
     header += ["trace", "min_eigenvalue"]
     lines = [_csv_join(header)]
     for k, rho in enumerate(traj.states):

@@ -1,9 +1,13 @@
 """Amplitude backend tests: foam contraction, analytic vertex, kappa."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinfoam_oqs.amplitudes import (
     AsymptoticParams,
@@ -13,6 +17,7 @@ from spinfoam_oqs.amplitudes import (
     Foam2Complex,
     FoamProvider,
     KappaMatrix,
+    LinkWeight,
     MissingBoundaryError,
     ProviderError,
     TransitionMatrix,
@@ -30,6 +35,7 @@ from spinfoam_oqs.amplitudes import (
     transition_matrix,
     two_level_rho11,
 )
+from spinfoam_oqs import amplitudes
 from spinfoam_oqs.recoupling import Spin, as_spin, wigner6j
 
 
@@ -132,14 +138,6 @@ def test_truncation_self_consistency():
     assert abs(w_hi - w_lo) <= 1e-5 * abs(w_lo)
 
 
-def test_parallel_reduction_agrees_within_reassociation():
-    foam = chain_foam(2, internal_range=(Spin(0), Spin(4)))
-    pins = BoundaryState.delta({i: 1 for i in range(6)})
-    serial = pr_transition(foam, pins, j_max=2, parallel=False)
-    threaded = pr_transition(foam, pins, j_max=2, parallel=True)
-    assert threaded == pytest.approx(serial, rel=1e-12)
-
-
 def test_foam_validation():
     with pytest.raises(ValueError):
         Foam2Complex(((0, 1, 2, 3, 4),), {f: f for f in range(5)}, {})
@@ -193,15 +191,157 @@ def test_provider_error_carries_context():
     assert "n=1/2" in str(err.value)
 
 
-def test_parallel_fill_matches_serial():
-    foam = cascade_pair_foam(internal_range=(Spin(0), Spin(4)))
-    bath = BoundaryState.gaussian(
-        {7: 0.03, 8: 0.03, 1: 0.22, 2: 0.22, 6: 0.22, 4: 0.22, 5: 0.22, 9: 0.22}
+# --- one contraction per W vs the per-entry fill ------------------------------
+
+def reference_vertex_tensor(tjs):
+    """Signed 6j over the full product of six per-slot 2j grids."""
+    T = np.zeros([len(g) for g in tjs], dtype=complex)
+    for index in np.ndindex(*T.shape):
+        face = [tjs[k][i] for k, i in enumerate(index)]
+        if min(face) >= 0:
+            T[index] = pr_vertex(*(Spin(t) for t in face))
+    return T
+
+
+def test_vertex_tensor_matches_full_product():
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        tjs = [tuple(sorted(int(t) for t in rng.choice(6, 3, replace=False))) for _ in range(6)]
+        assert np.array_equal(
+            amplitudes._vertex_tensor(tjs, (0, 1, 2, 3, 4, 5)), reference_vertex_tensor(tjs)
+        )
+    # Slots 0, 2 and 4 on one label axis take one index, and a label spin
+    # above j_max (-1) leaves its index zero.
+    label = [(2, 4, -1), (2, 4, 0), (2, 4, 2)]
+    tjs = [label[0], (0, 2, 4), label[1], (0, 2), label[2], (0, 1, 2, 4)]
+    full = reference_vertex_tensor(tjs)
+    shared = amplitudes._vertex_tensor(tjs, (0, 1, 0, 2, 0, 3))
+    assert np.array_equal(shared, np.einsum("iaibic->iabc", full))
+    assert not shared[2].any() and shared[0].any() and shared[1].any()
+
+
+# (foam, in links, out links); every other boundary link is a bath link.
+FUSED_FOAMS = {
+    "single_vertex": (lambda r: single_vertex_foam(), (0, 1, 2), (3, 4, 5)),
+    "single_vertex_bath": (lambda r: single_vertex_foam(), (0,), (3,)),
+    "chain2": (lambda r: chain_foam(2, r), (0, 1, 2), (3, 4, 5)),
+    "chain3": (lambda r: chain_foam(3, r), (0, 1, 2), (3, 4, 5)),
+    "bridged_pair": (bridged_pair_foam, (0, 1, 2), (3, 4, 5)),
+    "cascade_pair": (cascade_pair_foam, (0,), (3,)),
+    "disconnected_pair": (lambda r: disconnected_pair_foam(), (0,), (6,)),
+}
+
+
+def _spin_str(twice_j):
+    return str(Spin(twice_j))
+
+
+@st.composite
+def fused_cases(draw):
+    name = draw(st.sampled_from(sorted(FUSED_FOAMS)))
+    build, in_links, out_links = FUSED_FOAMS[name]
+    two_jmax = draw(st.integers(2, 4))
+    top = draw(st.integers(0, two_jmax + 2))
+    foam = build((Spin(0), Spin(top)))
+    slots = len(in_links)
+    # Spins run up to one above j_max, whose entries must come out zero.
+    spin = st.integers(0, two_jmax + 1)
+    if slots == 3 and draw(st.booleans()):
+        label = st.tuples(spin, spin, spin).filter(
+            lambda t: (sum(t) % 2 == 0 and abs(t[0] - t[1]) <= t[2] <= t[0] + t[1])
+        ).map(lambda t: tuple(_spin_str(x) for x in t))
+    elif slots == 1 and draw(st.booleans()):
+        label = spin.map(lambda t: (_spin_str(t),))
+    else:
+        label = spin.map(_spin_str)
+    labels = draw(st.lists(label, min_size=1, max_size=3, unique=True))
+
+    bath_links = sorted(set(foam.boundary_links) - set(in_links) - set(out_links))
+    bath = None
+    if bath_links:
+        # Gaussian terms keep most amplitudes nonzero.  Delta terms after
+        # the first may pin a spin above j_max, whose empty support drops
+        # the term.
+        def term(kind, spins):
+            if kind == "gaussian":
+                centers = st.floats(0.05, 1.5, allow_nan=False)
+                return {l: LinkWeight("gaussian", draw(centers)) for l in bath_links}
+            return {l: LinkWeight("delta", Spin(draw(spins))) for l in bath_links}
+
+        kinds = st.sampled_from(["gaussian", "delta"])
+        terms = [(1.0, term(draw(kinds), st.integers(0, two_jmax)))]
+        for _ in range(draw(st.integers(0, 2))):
+            weight = draw(st.sampled_from([0.5, 0.0, -0.7 + 0.4j]))
+            terms.append((weight, term(draw(kinds), spin)))
+        bath = BoundaryState(terms)
+    provider = FoamProvider(foam, in_links, out_links, bath=bath, j_max=Spin(two_jmax))
+    return provider, labels
+
+
+@given(fused_cases())
+@settings(max_examples=100, deadline=None)
+def test_fused_W_matches_entrywise(case):
+    provider, labels = case
+    fused = transition_matrix(provider, labels).entries
+    d = len(labels)
+    reference = np.array(
+        [[provider.amplitude(n, m, labels) for m in range(d)] for n in range(d)]
     )
-    provider = FoamProvider(foam, in_links=(0,), out_links=(3,), bath=bath, j_max=2)
-    serial = transition_matrix(provider, ["0", "1", "2"])
-    threaded = transition_matrix(provider, ["0", "1", "2"], max_workers=4)
-    assert np.array_equal(serial.entries, threaded.entries)
+    assert np.max(np.abs(fused - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_fused_W_label_above_jmax_gives_zero_entries():
+    foam = chain_foam(2, internal_range=(Spin(0), Spin(4)))
+    provider = FoamProvider(foam, (0, 1, 2), (3, 4, 5), bath=None, j_max=2)
+    W = transition_matrix(provider, ["1", "2", "3"]).entries
+    assert not W[2].any() and not W[:, 2].any()
+    assert np.abs(W[:2, :2]).min() > 0
+
+
+def test_fused_W_missing_bath_links_names_faces():
+    foam = cascade_pair_foam(internal_range=(Spin(0), Spin(4)))
+    partial = BoundaryState.gaussian({l: 0.2 for l in (1, 2, 4, 5, 6, 7)})
+    for bath, faces in ((partial, "[8, 9]"), (None, "[1, 2, 4, 5, 6, 7, 8, 9]")):
+        provider = FoamProvider(foam, (0,), (3,), bath=bath, j_max=2)
+        with pytest.raises(MissingBoundaryError) as err:
+            transition_matrix(provider, ["0", "1"])
+        assert f"boundary faces {faces} (links {faces})" in str(err.value)
+
+
+def test_concurrent_fills_keep_the_tensor_cache_consistent():
+    # Internal ranges starting at 1/2 give label-free middle tensors that
+    # no other test builds, so the threads insert them concurrently.
+    providers = [
+        FoamProvider(
+            chain_foam(3, internal_range=(Spin(1), Spin(top))),
+            (0, 1, 2), (3, 4, 5), bath=None, j_max="5/2",
+        )
+        for top in (3, 4, 5)
+    ]
+    labels = ["0", "1"]
+    results = []
+
+    def worker():
+        for i in [0, 1, 2] * 3:
+            results.append((i, transition_matrix(providers[i], labels).entries))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6 * 9
+    serial = [transition_matrix(p, labels).entries for p in providers]
+    assert all(np.array_equal(W, serial[i]) for i, W in results)
+    with amplitudes._cache_lock:
+        cached = sum(T.size for T in amplitudes._TENSOR_CACHE.values())
+        assert amplitudes._tensor_cache_entries == cached
 
 
 # --- kappa -------------------------------------------------------------------

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from spinfoam_oqs.cli import main
-from spinfoam_oqs.scenario import ScenarioConfig, ScenarioError, run_scenario
+from spinfoam_oqs.lindblad import Trajectory
+from spinfoam_oqs.scenario import (
+    ScenarioConfig,
+    ScenarioError,
+    run_scenario,
+    trajectory_csv,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -58,6 +64,18 @@ def test_bad_coherence_pair_rejected_before_any_output(tmp_path, pair):
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert "coherences" in report["error"]
     assert not (tmp_path / "run" / "kappa.csv").exists()
+
+
+def test_coherence_headers_distinct_at_two_digit_indices():
+    rho = np.eye(12, dtype=complex) / 12
+    rho[1, 11], rho[11, 1] = 0.01 + 0.02j, 0.01 - 0.02j
+    basis = [str(i) for i in range(12)]
+    text = trajectory_csv(Trajectory([rho]), basis, [(1, 11), (11, 1)])
+    header, row = text.splitlines()[:2]
+    names = header.split(",")
+    assert len(names) == len(set(names))
+    assert names[14:18] == ["re_rho_1_11", "im_rho_1_11", "re_rho_11_1", "im_rho_11_1"]
+    assert row.split(",")[14:18] == ["0.01", "0.02", "0.01", "-0.02"]
 
 
 def test_defaults_are_echoed_in_report(tmp_path):

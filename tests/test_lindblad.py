@@ -476,6 +476,15 @@ def test_evolve_effective_undamped_coherence_keeps_its_value():
     assert np.max(np.abs(traj.states[-1] - rho0)) < 1e-14
 
 
+@pytest.mark.parametrize("steps", [0, 1])
+def test_evolve_effective_rejects_state_of_other_dimension(steps):
+    km = KappaMatrix(("a", "b"), np.array([[0.5, 0.5], [0.5, 0.5]]), "over_n")
+    rho0 = np.eye(3, dtype=complex) / 3
+    with pytest.raises(ValueError) as err:
+        evolve_effective(km, EvolutionConfig(g=0.5, steps=steps), rho0)
+    assert "(3, 3)" in str(err.value) and "(2, 2)" in str(err.value)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_steady_states_multi_class_first_representative_agrees(seed):
     # Two or three closed classes, each dense inside, with no rate between

@@ -1,5 +1,6 @@
 """Recoupling kernel tests against an independent exact oracle."""
 
+import itertools
 import math
 import random
 import threading
@@ -109,14 +110,33 @@ def test_canonicalization_idempotent(tjs):
     assert canonical_six_j_key([Spin(t) for t in key]) == key
 
 
+def reference_six_j_key(spins):
+    """Smallest of the 24 orderings, by enumerating every one of them:
+    the column permutations times the upper/lower flips of two columns."""
+    t = tuple(s.twice_j for s in spins)
+    cols = ((t[0], t[3]), (t[1], t[4]), (t[2], t[5]))
+    flips = ((), (0, 1), (0, 2), (1, 2))
+    return min(
+        (a[0], b[0], c[0], a[1], b[1], c[1])
+        for flip in flips
+        for a, b, c in itertools.permutations(
+            [col[::-1] if i in flip else col for i, col in enumerate(cols)]
+        )
+    )
+
+
+def test_canonical_key_matches_enumeration_exhaustively():
+    spins = [Spin(t) for t in range(7)]
+    for combo in itertools.product(spins, repeat=6):
+        assert canonical_six_j_key(combo) == reference_six_j_key(combo)
+
+
 def test_all_24_symmetries_share_a_key():
     rng = random.Random(4)
     for _ in range(50):
         tjs = random_admissible_six(rng)
         base = canonical_six_j_key([Spin(t) for t in tjs])
         cols = [(tjs[0], tjs[3]), (tjs[1], tjs[4]), (tjs[2], tjs[5])]
-        import itertools
-
         count = 0
         for perm in itertools.permutations(range(3)):
             for flip in ((), (0, 1), (0, 2), (1, 2)):
