@@ -24,6 +24,7 @@ from .amplitudes import (
     AsymptoticParams,
     BoundaryState,
     Foam2Complex,
+    FoamProvider,
     KappaMatrix,
     TransitionMatrix,
     asymptotic_vertex,

@@ -1,20 +1,19 @@
 """Fit a simplified two-vertex model to a target amplitude table.
 
 The simplified model is a pair of unconnected tetrahedral vertices whose
-free boundary spins carry a linear superposition of basis assignments;
-the fit minimizes the distance between unit-normalized flattened
-amplitude tables with a derivative-free simplex search restarted from
-seeded random points.
+free boundary spins carry a linear superposition of basis assignments.
+The model table is rank one and linear in real weights on each vertex,
+so the distance between unit-normalized flattened amplitude tables has a
+closed-form global minimum: the top singular pair of the whitened
+cross-Gram matrix (Hotelling's canonical correlations).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .amplitudes import TransitionMatrix, label_spins, pr_vertex
 from .recoupling import Spin, as_spin
@@ -93,14 +92,14 @@ class TwoVertexModel:
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Target table, simplified model, and optimizer budget."""
+    """Target table and simplified model; the seed drives the cost sampling."""
 
     target: TransitionMatrix
     model: TwoVertexModel
-    restarts: int = 5
-    max_evals_per_restart: int = 4000
-    simplex_tol: float = 1e-8
     seed: int = 0
+    tables: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.model.n_params < 1:
@@ -109,6 +108,14 @@ class FitProblem:
             raise ValueError("target dimension does not match the model basis")
         if np.linalg.norm(self.target.flatten()) == 0:
             raise ValueError("target amplitude table has zero norm")
+        tables = self.model.tables()
+        for side, table in zip(("in", "out"), tables):
+            if not np.any(table):
+                raise ValueError(
+                    f"{side} vertex amplitude table is all zero: no bath triple "
+                    "couples to any basis label"
+                )
+        object.__setattr__(self, "tables", tables)
 
     def cost_at(self, params: Sequence[float]) -> float:
         return cost(self.target.flatten(), self.model.flattened(params))
@@ -120,70 +127,53 @@ class FitResult:
     cost: float
     evaluations: int
     seed: int
-    status: str  # "ok" | "budget_exhausted"
+    status: str  # always "ok": the minimum is found in closed form
+
+
+# Gram eigenvalues below this fraction of the largest span the table's
+# numerical null space; their directions carry no amplitude.
+_NULL_RATIO = 1e-12
+
+
+def _whitened_range(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitening weights and their orthonormal images under the table.
+
+    The real Gram matrix Re(T^H T) of a complex table T is the Gram matrix
+    of the stacked real table [Re T; Im T], so its eigenvectors V and
+    eigenvalues s^2 come from that table's SVD without squaring the
+    condition number.  Returns the real weights V / s, which satisfy
+    W^T Re(T^H T) W = I, and T W, whose columns are orthonormal.
+    """
+    d = table.shape[0]
+    u, s, vt = np.linalg.svd(np.vstack([table.real, table.imag]), full_matrices=False)
+    keep = s**2 > _NULL_RATIO * s[0] ** 2
+    return vt[keep].T / s[keep], u[:d, keep] + 1j * u[d:, keep]
 
 
 def fit_bath(problem: FitProblem) -> FitResult:
-    """Simplex minimization with random restarts; deterministic per seed.
+    """Global minimum of the cost over real weights, in closed form.
 
-    The reported cost is the best value seen anywhere in the run, never
-    above any intermediate evaluation.  Exhausting the budget before any
-    improvement over the starting points is reported as a status, not an
-    error.
+    With w_out = A x and w_in = B y, the cost is sqrt(2 - 2 rho) where
+    rho = x^T M y / (|A x| |B y| |T|) and M = Re(A^H T conj(B)).  Whitening
+    both vertex Gram matrices turns the maximum of rho into the top
+    singular value of the whitened M; its singular vectors give the
+    weights.  The reported cost is evaluated at the returned parameters.
     """
-    rng = np.random.default_rng(problem.seed)
-    target_flat = problem.target.flatten()
-    model = problem.model
-    # The per-vertex tables never change; precompute once.
-    table_in, table_out = model.tables()
-    k = len(model.bath_triples_in)
-
-    evals = 0
-    best_cost = math.inf
-    best_params: np.ndarray | None = None
-
-    def objective(theta: np.ndarray) -> float:
-        nonlocal evals, best_cost, best_params
-        evals += 1
-        w_in = table_in @ theta[:k]
-        w_out = table_out @ theta[k:]
-        flat = np.outer(w_out, w_in).reshape(-1)
-        norm = np.linalg.norm(flat)
-        if norm == 0:
-            return 2.0  # degenerate point, worst possible distance
-        value = float(
-            np.linalg.norm(flat / norm - target_flat / np.linalg.norm(target_flat))
-        )
-        if value < best_cost:
-            best_cost = value
-            best_params = theta.copy()
-        return value
-
-    starts = [np.ones(model.n_params)]
-    starts += [rng.uniform(-1.0, 1.0, model.n_params) for _ in range(problem.restarts)]
-    initial_best = math.inf
-    for x0 in starts:
-        start_cost = objective(np.asarray(x0, dtype=float))
-        initial_best = min(initial_best, start_cost)
-    for x0 in starts:
-        minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": problem.simplex_tol,
-                "fatol": problem.simplex_tol,
-                "maxfev": problem.max_evals_per_restart,
-                "adaptive": True,
-            },
-        )
-    status = "ok" if best_cost < initial_best else "budget_exhausted"
+    table_in, table_out = problem.tables
+    white_in, image_in = _whitened_range(table_in)
+    white_out, image_out = _whitened_range(table_out)
+    # The whitened M is Re(U_out^H T conj(U_in)) with U = table @ whitener.
+    u, _, vt = np.linalg.svd(
+        np.real(image_out.conj().T @ problem.target.entries @ image_in.conj())
+    )
+    theta_in, theta_out = white_in @ vt[0], white_out @ u[:, 0]
+    flat = np.outer(table_out @ theta_out, table_in @ theta_in)
     return FitResult(
-        params=best_params,
-        cost=best_cost,
-        evaluations=evals,
+        params=np.concatenate([theta_in, theta_out]),
+        cost=cost(problem.target.flatten(), flat),
+        evaluations=1,
         seed=problem.seed,
-        status=status,
+        status="ok",
     )
 
 
@@ -206,12 +196,6 @@ class CostHistogram:
         for left, dens in zip(self.bin_left, self.density):
             rows.append(f"{left!r},{dens!r}")
         return "\n".join(rows) + "\n"
-
-
-def _simplex_weights(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Uniform draw from the probability simplex over k weights."""
-    draws = rng.exponential(1.0, k)
-    return draws / draws.sum()
 
 
 # Bath triples covering every link-parity pattern, with pair sums large
@@ -315,6 +299,40 @@ def chain_target(
     return transition_matrix(provider, list(basis))
 
 
+# Draws per batched cost evaluation; bounds the (chunk, d^2) work arrays.
+_SAMPLE_CHUNK = 512
+
+
+def _sample_costs(problem: FitProblem, n: int) -> np.ndarray:
+    """Cost at each of n seeded draws from the per-vertex weight simplexes."""
+    table_in, table_out = problem.tables
+    target_flat = problem.target.flatten()
+    target_unit = target_flat / np.linalg.norm(target_flat)
+
+    # One exponential per parameter; normalizing each vertex's half gives
+    # a uniform point on that vertex's weight simplex.
+    draws = np.stack([
+        np.random.default_rng([problem.seed, i]).exponential(1.0, problem.model.n_params)
+        for i in range(n)
+    ])
+    k = table_in.shape[1]
+    theta_in, theta_out = draws[:, :k], draws[:, k:]
+    theta_in /= theta_in.sum(axis=1, keepdims=True)
+    theta_out /= theta_out.sum(axis=1, keepdims=True)
+
+    values = np.empty(n)
+    for lo in range(0, n, _SAMPLE_CHUNK):
+        hi = min(lo + _SAMPLE_CHUNK, n)
+        w_in = theta_in[lo:hi] @ table_in.T
+        w_out = theta_out[lo:hi] @ table_out.T
+        flat = (w_out[:, :, None] * w_in[:, None, :]).reshape(hi - lo, -1)
+        norm = np.linalg.norm(flat, axis=1)
+        dead = norm == 0
+        unit = flat / np.where(dead, 1.0, norm)[:, None]
+        values[lo:hi] = np.where(dead, 2.0, np.linalg.norm(unit - target_unit, axis=1))
+    return values
+
+
 def sample_cost_distribution(problem: FitProblem, n: int) -> CostHistogram:
     """Cost values at random model parameters, binned with width 0.1.
 
@@ -325,21 +343,7 @@ def sample_cost_distribution(problem: FitProblem, n: int) -> CostHistogram:
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    model = problem.model
-    table_in, table_out = model.tables()
-    k = len(model.bath_triples_in)
-    target_flat = problem.target.flatten()
-    target_unit = target_flat / np.linalg.norm(target_flat)
-
-    values = np.empty(n)
-    for i in range(n):
-        rng = np.random.default_rng([problem.seed, i])
-        theta_in = _simplex_weights(rng, k)
-        theta_out = _simplex_weights(rng, model.n_params - k)
-        flat = np.outer(table_out @ theta_out, table_in @ theta_in).reshape(-1)
-        norm = np.linalg.norm(flat)
-        values[i] = 2.0 if norm == 0 else float(np.linalg.norm(flat / norm - target_unit))
-
+    values = _sample_costs(problem, n)
     edges = np.round(np.arange(0.0, 2.0 + CostHistogram.BIN_WIDTH, CostHistogram.BIN_WIDTH), 10)
     counts, _ = np.histogram(values, bins=edges)
     density = counts / (n * CostHistogram.BIN_WIDTH)

@@ -162,14 +162,7 @@ def _cmd_fit(args) -> int:
         internal_max=spec.get("internal_max", "2"),
         j_max=spec.get("j_max", "5/2"),
     )
-    problem = FitProblem(
-        target,
-        model,
-        restarts=int(spec.get("restarts", 5)),
-        max_evals_per_restart=int(spec.get("max_evals_per_restart", 4000)),
-        seed=seed,
-    )
-    result = fit_bath(problem)
+    result = fit_bath(FitProblem(target, model, seed=seed))
     out = _out_dir(args, args.config)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

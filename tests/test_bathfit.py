@@ -1,15 +1,19 @@
 """Cost function and simplified-model fitting tests."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from spinfoam_oqs.amplitudes import TransitionMatrix, label_str
 from spinfoam_oqs.bathfit import (
     CostHistogram,
     FitProblem,
     TwoVertexModel,
+    _sample_costs,
     admissible_triple_basis,
     chain_target,
     cost,
@@ -174,20 +178,17 @@ def test_two_vertex_model_parameter_count(model):
         model.matrix(np.ones(3))
 
 
-def test_budget_exhausted_status_when_start_is_optimal():
-    # a one-triple-per-vertex model started exactly at the optimum cannot
-    # improve; the exhausted budget is a status, not an error
+def test_one_triple_model_recovers_its_own_target():
     base = ((1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 1, 1))
     single_bath = (("1", "2", "2"),)
     tiny = TwoVertexModel(base, single_bath, single_bath)
     target = TransitionMatrix(
         tuple(label_str(b) for b in base), tiny.matrix(np.ones(2))
     )
-    result = fit_bath(
-        FitProblem(target, tiny, restarts=0, max_evals_per_restart=3, seed=0)
-    )
-    assert result.status == "budget_exhausted"
-    assert result.cost == pytest.approx(0.0, abs=1e-12)
+    result = fit_bath(FitProblem(target, tiny, seed=0))
+    assert result.status == "ok"
+    assert result.evaluations == 1
+    assert result.cost <= 1e-12
 
 
 def test_fit_problem_rejects_zero_norm_target():
@@ -197,3 +198,174 @@ def test_fit_problem_rejects_zero_norm_target():
     dead = TransitionMatrix(("a", "b"), np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         FitProblem(dead, tiny, seed=0)
+
+
+@pytest.mark.parametrize("dead_side", ["in", "out"])
+def test_fit_problem_rejects_dead_vertex_table(dead_side):
+    # ("1/2", "1/2", "1") meets none of the basis triples in a tetrahedron,
+    # so that vertex's amplitude table is all zero
+    base = ((1, 1, 2), (1, 2, 2), (2, 2, 2))
+    dead, live = (("1/2", "1/2", "1"),), (("1", "2", "2"),)
+    baths = (dead, live) if dead_side == "in" else (live, dead)
+    model = TwoVertexModel(base, *baths)
+    target = TransitionMatrix(
+        tuple(label_str(b) for b in base), np.ones((3, 3), dtype=complex)
+    )
+    with pytest.raises(ValueError, match=f"^{dead_side} vertex"):
+        FitProblem(target, model, seed=0)
+
+
+# --- closed-form fit and batched sampling against retained references ------
+
+
+class _FixedTables:
+    """Model stand-in whose vertex tables are given directly."""
+
+    def __init__(self, table_in, table_out):
+        self._tables = (table_in, table_out)
+        self.basis = tuple(range(table_in.shape[0]))
+        self.n_params = table_in.shape[1] + table_out.shape[1]
+
+    def tables(self):
+        return self._tables
+
+
+def _model_cost(problem, theta):
+    table_in, table_out = problem.tables
+    k = table_in.shape[1]
+    flat = np.outer(table_out @ theta[k:], table_in @ theta[:k])
+    if not np.any(flat):
+        return 2.0
+    return cost(problem.target.flatten(), flat)
+
+
+def _nelder_mead_reference(problem, restarts=2, max_evals=2000):
+    """Best cost of the simplex search the closed form replaced.
+
+    Restarts from all-ones and seeded uniform points; the budget is smaller
+    than the old default, which can only raise the reference's cost.
+    """
+    best = math.inf
+
+    def objective(theta):
+        nonlocal best
+        value = _model_cost(problem, theta)
+        best = min(best, value)
+        return value
+
+    rng = np.random.default_rng(problem.seed)
+    n = problem.model.n_params
+    starts = [np.ones(n)] + [rng.uniform(-1.0, 1.0, n) for _ in range(restarts)]
+    for x0 in starts:
+        objective(x0)
+        minimize(objective, x0, method="Nelder-Mead", options={
+            "xatol": 1e-8, "fatol": 1e-8, "maxfev": max_evals, "adaptive": True,
+        })
+    return best
+
+
+def _per_draw_costs(problem, n):
+    """The per-draw sampling loop the batched sampler replaced."""
+    table_in, table_out = problem.tables
+    k = table_in.shape[1]
+    target_flat = problem.target.flatten()
+    target_unit = target_flat / np.linalg.norm(target_flat)
+    values = np.empty(n)
+    for i in range(n):
+        rng = np.random.default_rng([problem.seed, i])
+        draws = rng.exponential(1.0, k)
+        theta_in = draws / draws.sum()
+        draws = rng.exponential(1.0, problem.model.n_params - k)
+        theta_out = draws / draws.sum()
+        flat = np.outer(table_out @ theta_out, table_in @ theta_in).reshape(-1)
+        norm = np.linalg.norm(flat)
+        values[i] = 2.0 if norm == 0 else float(np.linalg.norm(flat / norm - target_unit))
+    return values
+
+
+@st.composite
+def _vertex_table(draw, d):
+    """Small integer table, real or complex, often rank-deficient.
+
+    Integer entries keep every nonzero eigenvalue of Re(T^H T) above 1e-9
+    of the largest (their product is a positive integer and the largest is
+    at most 160), so the fit's 1e-12 cut drops only exact null directions.
+    """
+    k = draw(st.integers(1, 4))
+    entries = st.integers(-2, 2)
+    table = np.array(draw(st.lists(entries, min_size=d * k, max_size=d * k)), dtype=complex)
+    if draw(st.booleans()):
+        table = table + 1j * np.array(
+            draw(st.lists(entries, min_size=d * k, max_size=d * k))
+        )
+    table = table.reshape(d, k)
+    for j in range(k):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            table[:, j] = 0
+        elif kind == "copy":
+            table[:, j] = draw(st.sampled_from([1, -1])) * table[:, draw(st.integers(0, k - 1))]
+    assume(np.any(table))
+    return table
+
+
+@st.composite
+def _table_problem(draw, realizable=False):
+    d = draw(st.integers(1, 5))
+    table_in, table_out = draw(_vertex_table(d)), draw(_vertex_table(d))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if realizable:
+        entries = np.outer(
+            table_out @ rng.uniform(-1.0, 1.0, table_out.shape[1]),
+            table_in @ rng.uniform(-1.0, 1.0, table_in.shape[1]),
+        )
+    else:
+        entries = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    assume(np.linalg.norm(entries) > 1e-6)
+    target = TransitionMatrix(tuple(str(i) for i in range(d)), entries)
+    return FitProblem(target, _FixedTables(table_in, table_out), seed=seed)
+
+
+@given(_table_problem())
+@settings(max_examples=40, deadline=None)
+def test_closed_form_fit_is_the_global_minimum(problem):
+    result = fit_bath(problem)
+    assert result.status == "ok" and result.evaluations == 1
+    assert result.cost == pytest.approx(_model_cost(problem, result.params), abs=1e-15)
+    assert result.cost <= _nelder_mead_reference(problem) + 1e-12
+    rng = np.random.default_rng(problem.seed + 1)
+    for _ in range(200):
+        theta = rng.uniform(-1.0, 1.0, problem.model.n_params)
+        assert result.cost <= _model_cost(problem, theta) + 1e-12
+
+
+@given(_table_problem(realizable=True))
+@settings(max_examples=100, deadline=None)
+def test_closed_form_fit_recovers_realizable_targets(problem):
+    assert fit_bath(problem).cost <= 1e-12
+
+
+def test_closed_form_fit_keeps_weak_directions():
+    # The in-vertex columns are nearly parallel (Gram eigenvalue ratio
+    # 6e-8) and the target lies along their small difference: the fit
+    # must keep that direction and resolve it without squaring the
+    # table's condition number.
+    weak = np.array([[1.0, 1.0], [1.0, 1.001]], dtype=complex)
+    strong = np.array([[1.0, 0.0], [2.0, 1.0j]])
+    entries = np.outer(strong @ np.array([0.3, -0.7]), weak @ np.array([1.0, -1.0]))
+    problem = FitProblem(
+        TransitionMatrix(("0", "1"), entries), _FixedTables(weak, strong), seed=0
+    )
+    assert fit_bath(problem).cost <= 1e-12
+
+
+@given(_table_problem())
+@settings(max_examples=8, deadline=None)
+def test_batched_sampling_matches_per_draw_loop(problem):
+    for n in (1, 511, 512, 513, 1025):
+        reference = _per_draw_costs(problem, n)
+        np.testing.assert_allclose(_sample_costs(problem, n), reference, rtol=0, atol=1e-15)
+        hist = sample_cost_distribution(problem, n)
+        edges = np.round(np.arange(0.0, 2.1, 0.1), 10)
+        assert hist.counts == tuple(int(c) for c in np.histogram(reference, bins=edges)[0])

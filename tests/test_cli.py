@@ -1,5 +1,6 @@
 """Scenario runner and CLI surface tests."""
 
+import ast
 import importlib
 import json
 import os
@@ -355,6 +356,20 @@ def test_cli_entry_point_installed(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         assert "evolve" in result.stdout
+
+
+def test_readme_library_use_imports_resolve():
+    # every import statement of README's "Library use" example
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    tree = ast.parse(snippet.split("```", 1)[0])
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert any(
+        isinstance(node, ast.ImportFrom) and node.module == "spinfoam_oqs"
+        and "FoamProvider" in {alias.name for alias in node.names}
+        for node in imports
+    )
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
 
 
 def test_cli_fit_with_basis_network_file(tmp_path):
