@@ -11,6 +11,7 @@ cross-Gram matrix (Hotelling's canonical correlations).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,10 +29,18 @@ def cost(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=complex).reshape(-1)
     if a.shape != b.shape:
         raise ValueError("cost inputs must have equal length")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
+    return float(np.linalg.norm(_unit(a) - _unit(b)))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v|; entries far from 1 are rescaled first so |v|^2 cannot
+    underflow or overflow."""
+    scale = np.max(np.abs(v), initial=0.0)
+    if scale == 0:
         raise ValueError("cost inputs must have nonzero norm")
-    return float(np.linalg.norm(a / na - b / nb))
+    if not 1e-150 < scale < 1e150:
+        v = v / scale
+    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)
@@ -68,13 +77,19 @@ class TwoVertexModel:
             spins = label_spins(label, 3)
             for b, bath in enumerate(triples):
                 table[i, b] = pr_vertex(*spins, *bath)
+        table.flags.writeable = False
         return table
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         return (
             self._amplitude_table(self.bath_triples_in),
             self._amplitude_table(self.bath_triples_out),
         )
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (read-only) in and out vertex tables, built on first use."""
+        return self._tables
 
     def matrix(self, params: Sequence[float]) -> np.ndarray:
         theta = np.asarray(params, dtype=float)

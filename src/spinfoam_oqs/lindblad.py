@@ -2,10 +2,16 @@
 
 Superoperators act on column-vectorized density matrices (Fortran order),
 so vec(A rho B) = (B^T kron A) vec(rho).  Matrix exponentials go through
-scipy's scaling-and-squaring Pade implementation.  Evolutions re-validate
-the CPTP invariants at every step; eigenvalues in (-1e-10, 0) are clamped
-to zero with renormalization and the clamp count is reported on the
-trajectory.
+scipy's scaling-and-squaring Pade implementation.  Evolutions validate
+the CPTP invariants of every state they return; eigenvalues in (-1e-10, 0)
+are clamped to zero with renormalization and the clamp count is reported
+on the trajectory.  A trajectory is one (steps + 1, d, d) array.
+``evolve_effective`` steps a block of states, then checks Hermiticity,
+trace and positivity for the whole block at once, taking each state's
+smallest eigenvalue from one batched ``eigvalsh``.  The clamp decision is
+unchanged: every state whose batched smallest eigenvalue falls below a
+round-off guard goes through ``clamp_density_matrix`` and its own
+``eigh``, and the evolution restarts only from a state a clamp changed.
 
 The effective generator sum kappa[n,m] D_{|n><m|} is purely incoherent: it
 is a classical (Pauli) rate equation on the populations, and every
@@ -31,6 +37,10 @@ POSITIVITY_TOL = 1e-10
 KRAUS_COMPLETENESS_TOL = 1e-10
 CHOI_NEGATIVITY_TOL = 1e-8
 KRAUS_KEEP_TOL = 1e-12
+# A state whose batched eigvalsh minimum is at least this large is left
+# unclamped without its own eigh: eigvalsh and eigh agree on a density
+# matrix to within ~1e-15.
+CLAMP_GUARD = 1e-14
 
 
 class InvariantViolation(ValueError):
@@ -175,13 +185,18 @@ def kappa_generator(kappa) -> Superoperator:
 # States
 # ---------------------------------------------------------------------------
 
+def hermitian_part(rho: np.ndarray) -> np.ndarray:
+    """(rho + rho^dag) / 2, for one matrix or a stack of them."""
+    return (rho + np.swapaxes(rho, -1, -2).conj()) / 2
+
+
 def validate_density_matrix(rho: np.ndarray, context: str = "state") -> None:
     rho = np.asarray(rho)
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise InvariantViolation(f"{context}: Hermiticity violated beyond 1e-12")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
         raise InvariantViolation(f"{context}: trace {np.trace(rho)} is not 1")
-    lo = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
+    lo = float(np.min(np.linalg.eigvalsh(hermitian_part(rho))))
     if lo < -POSITIVITY_TOL:
         raise InvariantViolation(f"{context}: negative eigenvalue {lo}")
 
@@ -197,7 +212,7 @@ def clamp_density_matrix(rho: np.ndarray, context: str = "state") -> tuple[np.nd
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > HERMITICITY_TOL:
         raise InvariantViolation(f"{context}: Hermiticity violated ({herm:.2e})")
-    rho = (rho + rho.conj().T) / 2
+    rho = hermitian_part(rho)
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantViolation(f"{context}: trace {tr} is not 1")
@@ -239,11 +254,23 @@ def maximally_mixed(dim: int) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Time-indexed density matrices produced by a stepped evolution."""
+    """Time-indexed density matrices produced by a stepped evolution.
 
-    states: list[np.ndarray]
+    ``states`` is one (steps + 1, d, d) complex array; a list of matrices
+    is stacked on construction.
+    """
+
+    states: np.ndarray
     g: float = 1.0
     clamped: int = 0
+
+    def __post_init__(self):
+        states = np.asarray(self.states, dtype=complex)
+        if states.ndim != 3 or states.shape[1] != states.shape[2]:
+            raise ValueError(
+                f"states must stack square matrices, got shape {states.shape}"
+            )
+        self.states = states
 
     @property
     def steps(self) -> int:
@@ -251,18 +278,16 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     def populations(self) -> np.ndarray:
-        return np.array([np.diag(s).real for s in self.states])
+        return self.states.diagonal(axis1=1, axis2=2).real.copy()
 
     def traces(self) -> np.ndarray:
-        return np.array([np.trace(s).real for s in self.states])
+        return np.trace(self.states, axis1=1, axis2=2).real
 
     def min_eigenvalues(self) -> np.ndarray:
-        return np.array(
-            [np.linalg.eigvalsh((s + s.conj().T) / 2).min() for s in self.states]
-        )
+        return np.linalg.eigvalsh(hermitian_part(self.states)).min(axis=1)
 
 
 def evolve_continuous(L: Superoperator, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -548,6 +573,46 @@ class EvolutionConfig:
             object.__setattr__(self, "kick_times", times)
 
 
+# Blocks shorter than this send every state through clamp_density_matrix:
+# after a clamp the next block is short, and on a trajectory that clamps
+# every few steps the batched calls of many one- or two-state blocks cost
+# more than they save.  On seed-0 relax_wide case b2-6, which clamps on 41
+# of 90 steps, checking every block in batch made evolution and export
+# about 30% slower than checking each step; with this cut they are not.
+# The longest block bounds the check's temporary arrays.
+_MIN_BLOCK = 8
+_MAX_BLOCK = 256
+
+
+def _step_block(state, pop_step, mask, n: int) -> np.ndarray:
+    """The n raw (unsymmetrized) states that follow ``state``."""
+    block = np.empty((n,) + state.shape, dtype=complex)
+    for k in range(n):
+        populations = pop_step @ state.diagonal()
+        state = np.multiply(mask, state, out=block[k])
+        np.fill_diagonal(state, populations)
+    return block
+
+
+def _unsettled(raw: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """Indices of the states in a block that need their own clamp check.
+
+    ``sym`` holds the Hermitian parts of the raw states.  A state needs it
+    when it fails the Hermiticity or trace check, or when its smallest
+    eigenvalue, from one batched ``eigvalsh``, is below ``CLAMP_GUARD``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(raw - np.swapaxes(raw, 1, 2).conj()).max(axis=(1, 2))
+        trace_defect = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
+    valid = (herm <= HERMITICITY_TOL) & (trace_defect <= TRACE_TOL)
+    # clamp_density_matrix raises at the first invalid state, so the states
+    # after it (possibly not finite) need no eigenvalues.
+    first_invalid = len(raw) if valid.all() else int(valid.argmin())
+    lows = np.full(len(raw), -np.inf)
+    lows[:first_invalid] = np.linalg.eigvalsh(sym[:first_invalid]).min(axis=1)
+    return np.flatnonzero(~(valid & (lows >= CLAMP_GUARD)))
+
+
 def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajectory:
     """Iterate rho -> exp(g sum kappa D) rho for cfg.steps steps.
 
@@ -556,6 +621,16 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
     matrix: the diagonal goes through the d x d map expm(g A) of the
     population rate matrix, and each off-diagonal entry rho_ab is scaled
     by exp(-g (Gamma_a + Gamma_b) / 2).  Both are computed once and reused.
+
+    States are stepped and checked a block at a time.  A state that fails
+    a batched check, or whose smallest eigenvalue is below ``CLAMP_GUARD``,
+    goes through ``clamp_density_matrix``, which raises or clamps exactly
+    as a per-step check would; in blocks shorter than ``_MIN_BLOCK``
+    every state does.  The raw state feeds the next step unless a
+    clamp changed it; then the block is cut there and the next one starts
+    from the clamped state, as long as the stretch just accepted, so
+    frequent clamps waste few steps.  Clean blocks double the next block's
+    length, up to ``_MAX_BLOCK``.
     """
     pop, decay = _rates(kappa)
     if np.shape(rho0) != pop.shape:
@@ -565,18 +640,28 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
     validate_density_matrix(rho0, "initial state")
     pop_step = expm(cfg.g * pop)
     mask = np.exp(-cfg.g * decay)
-    states = [np.asarray(rho0, dtype=complex).copy()]
+    states = np.empty((cfg.steps + 1,) + pop.shape, dtype=complex)
+    states[0] = rho0
     clamp_total = 0
-    state = states[0]
-    for k in range(cfg.steps):
-        populations = pop_step @ state.diagonal()
-        state = mask * state
-        np.fill_diagonal(state, populations)
-        rho, clamped = clamp_density_matrix(state, f"step {k + 1}")
-        clamp_total += clamped
-        if clamped:
-            state = rho
-        states.append(rho)
+    state, done, chunk = states[0], 0, cfg.steps
+    while done < cfg.steps:
+        n = min(chunk, _MAX_BLOCK, cfg.steps - done)
+        # A rate table with negative entries can make the states after the
+        # first invalid one overflow; the per-step path never computed
+        # them, so their warnings are not shown.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = _step_block(state, pop_step, mask, n)
+            sym = hermitian_part(raw)
+        states[done + 1 : done + 1 + n] = sym
+        for k in range(n) if n < _MIN_BLOCK else _unsettled(raw, sym):
+            rho, clamped = clamp_density_matrix(raw[k], f"step {done + k + 1}")
+            if clamped:
+                clamp_total += clamped
+                states[done + k + 1] = rho
+                done, chunk, state = done + k + 1, k + 1, rho
+                break
+        else:
+            done, chunk, state = done + n, 2 * n, raw[-1]
     return Trajectory(states, g=cfg.g, clamped=clamp_total)
 
 
@@ -629,11 +714,12 @@ def evolve_kicked(
         if np.max(np.abs(hamiltonian - hamiltonian.conj().T)) > HERMITICITY_TOL:
             raise InvariantViolation("coherent generator must be Hermitian")
 
-    states = [np.asarray(rho0, dtype=complex).copy()]
+    states = np.empty((len(times) + 1, dim, dim), dtype=complex)
+    states[0] = rho0
     clamp_total = 0
     rho = states[0]
     prev_t = 0.0
-    for t in times:
+    for k, t in enumerate(times, start=1):
         dt = t - prev_t
         prev_t = t
         if interval_channel is not None:
@@ -645,7 +731,7 @@ def evolve_kicked(
             rho = kick.apply(rho)
         rho, clamped = clamp_density_matrix(rho, f"kick at t={t}")
         clamp_total += clamped
-        states.append(rho)
+        states[k] = rho
     return Trajectory(states, g=(times[0] if times else 1.0), clamped=clamp_total)
 
 

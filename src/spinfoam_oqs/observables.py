@@ -17,6 +17,11 @@ from .lindblad import Trajectory
 from .recoupling import Spin, as_spin
 
 
+# Largest off-diagonal entry for which a state counts as diagonal in the
+# energy basis, so that its spectral temperature is defined.
+DIAG_TOL = 1e-8
+
+
 class UndefinedTemperatureError(ValueError):
     """Spectral temperature needs strictly positive neighboring populations."""
 
@@ -78,26 +83,109 @@ class ObservableSeries:
         return np.array(self.steps, dtype=float), np.array(self.values, dtype=float)
 
 
+def _check_dimension(traj: Trajectory, spec: EnergySpectrum) -> None:
+    if traj.dim != spec.dim:
+        raise ValueError(
+            f"trajectory states have dimension {traj.dim}, "
+            f"the spectrum has {spec.dim} levels"
+        )
+
+
 def energy_expectations(traj: Trajectory, spec: EnergySpectrum) -> np.ndarray:
-    E = energy_operator(spec)
-    return np.array([np.trace(rho @ E).real for rho in traj.states])
+    """<E>_k = tr(rho_k E) for every state of the trajectory.
+
+    E is diagonal, so the trace is the sum of rho_ii E_i, taken as a
+    complex sum like ``np.trace(rho @ E)``; the values agree bit for bit.
+    """
+    _check_dimension(traj, spec)
+    weighted = traj.states.diagonal(axis1=1, axis2=2) * spec.energies()
+    return weighted.sum(axis=1).real
 
 
-def energy_release(traj: Trajectory, spec: EnergySpectrum, g: float | None = None) -> ObservableSeries:
-    """Forward-difference release S_k = (<E>_k - <E>_{k+1}) / g."""
+def energy_release(
+    traj: Trajectory,
+    spec: EnergySpectrum,
+    g: float | None = None,
+    energies: np.ndarray | None = None,
+) -> ObservableSeries:
+    """Forward-difference release S_k = (<E>_k - <E>_{k+1}) / g.
+
+    ``energies`` are the trajectory's ``energy_expectations`` when the
+    caller already has them.
+    """
     if traj.steps < 1:
         raise ValueError("trajectory needs at least two states")
     step_g = traj.g if g is None else float(g)
-    expect = energy_expectations(traj, spec)
+    if energies is None:
+        expect = energy_expectations(traj, spec)
+    else:
+        expect = np.asarray(energies, dtype=float)
+        if expect.shape != (traj.steps + 1,):
+            raise ValueError(
+                f"{expect.shape} energies given for {traj.steps + 1} states"
+            )
     values = (expect[:-1] - expect[1:]) / step_g
-    return ObservableSeries(tuple(range(traj.steps)), tuple(float(v) for v in values))
+    return ObservableSeries(tuple(range(traj.steps)), tuple(values.tolist()))
+
+
+def _spectral_betas(
+    states: np.ndarray,
+    spec: EnergySpectrum,
+    skip_undefined: bool,
+    diag_tol: float = DIAG_TOL,
+    positivity_floor: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral inverse temperatures over a (k, N, N) stack of states.
+
+    Returns the indices of the states where the estimator is defined and
+    their inverse temperatures.  Unless ``skip_undefined`` is set, the
+    first undefined state raises instead.  The estimator runs in the
+    order of the single-state formula and keeps ``math.log`` (``np.log``
+    can differ from it in the last ulp), so each value is the one the
+    state would give on its own.
+    """
+    N = spec.dim
+    pops = states.diagonal(axis1=1, axis2=2).real
+    if positivity_floor is not None:
+        pops = np.maximum(pops, positivity_floor)
+    off = np.abs(states)
+    off[:, range(N), range(N)] = 0.0
+    off_max = off.max(axis=(1, 2))
+    prefactor = 1.0 - (pops[:, 0] + pops[:, -1]) / 2.0
+    defined = ~(off_max > diag_tol) & ~np.any(pops <= 0, axis=1) & (prefactor != 0)
+    if N == 1:
+        defined[:] = False
+    if not skip_undefined and not defined.all():
+        k = int(np.argmin(defined))
+        if N == 1:
+            raise UndefinedTemperatureError("a single level has no temperature")
+        if off_max[k] > diag_tol:
+            raise ValueError(
+                f"state is not diagonal in the energy basis (off-diag {off_max[k]:.2e})"
+            )
+        if np.any(pops[k] <= 0):
+            bad = int(np.argmin(pops[k]))
+            raise UndefinedTemperatureError(
+                f"population of level {bad} is {pops[k, bad]:.3e}; temperature undefined"
+            )
+        raise UndefinedTemperatureError("degenerate edge populations (N=2 Gibbs trap)")
+    steps = np.flatnonzero(defined)
+    pops, prefactor = pops[steps], prefactor[steps]
+    ratios = (pops[:, 1:] / pops[:, :-1]).ravel().tolist()
+    logs = np.array(list(map(math.log, ratios))).reshape(len(steps), N - 1)
+    E = spec.energies()
+    acc = np.zeros(len(steps))
+    for i in range(1, N):
+        weight = (pops[:, i] + pops[:, i - 1]) / 2.0
+        acc = acc + weight * logs[:, i - 1] / (E[i] - E[i - 1])
+    return steps, -acc / prefactor
 
 
 def spectral_temperature(
     rho: np.ndarray,
     spec: EnergySpectrum,
     positivity_floor: float | None = None,
-    diag_tol: float = 1e-8,
+    diag_tol: float = DIAG_TOL,
 ) -> tuple[float, float]:
     """Spectral inverse temperature of a (near-)diagonal state.
 
@@ -111,30 +199,8 @@ def spectral_temperature(
     N = spec.dim
     if rho.shape != (N, N):
         raise ValueError("state dimension does not match the spectrum")
-    if N == 1:
-        raise UndefinedTemperatureError("a single level has no temperature")
-    off = rho - np.diag(np.diag(rho))
-    if np.max(np.abs(off)) > diag_tol:
-        raise ValueError(
-            f"state is not diagonal in the energy basis (off-diag {np.max(np.abs(off)):.2e})"
-        )
-    pops = np.diag(rho).real.copy()
-    if positivity_floor is not None:
-        pops = np.maximum(pops, positivity_floor)
-    if np.any(pops <= 0):
-        bad = int(np.argmin(pops))
-        raise UndefinedTemperatureError(
-            f"population of level {bad} is {pops[bad]:.3e}; temperature undefined"
-        )
-    E = spec.energies()
-    prefactor = 1.0 - (pops[0] + pops[-1]) / 2.0
-    if prefactor == 0:
-        raise UndefinedTemperatureError("degenerate edge populations (N=2 Gibbs trap)")
-    acc = 0.0
-    for i in range(1, N):
-        weight = (pops[i] + pops[i - 1]) / 2.0
-        acc += weight * math.log(pops[i] / pops[i - 1]) / (E[i] - E[i - 1])
-    beta = -acc / prefactor
+    _, betas = _spectral_betas(rho[None], spec, False, diag_tol, positivity_floor)
+    beta = betas[0]
     temperature = math.inf if beta == 0 else 1.0 / beta
     return beta, temperature
 
@@ -147,19 +213,14 @@ def temperature_series(
     """Spectral inverse temperature along a trajectory.
 
     Steps where the estimator is undefined (zero populations, usually the
-    pure initial state) are skipped when ``skip_undefined`` is set.
+    pure initial state, or coherences above the diagonal tolerance) are
+    skipped when ``skip_undefined`` is set; otherwise the first such step
+    raises as ``spectral_temperature`` does.  The estimator runs over the
+    whole stack at once.
     """
-    steps, betas = [], []
-    for k, rho in enumerate(traj.states):
-        try:
-            beta, _ = spectral_temperature(rho, spec)
-        except (UndefinedTemperatureError, ValueError):
-            if skip_undefined:
-                continue
-            raise
-        steps.append(k)
-        betas.append(beta)
-    return ObservableSeries(tuple(steps), tuple(betas))
+    _check_dimension(traj, spec)
+    steps, betas = _spectral_betas(traj.states, spec, skip_undefined)
+    return ObservableSeries(tuple(steps.tolist()), tuple(betas.tolist()))
 
 
 def thermal_flow_check(rho: np.ndarray, s: float, support_tol: float = 1e-12) -> tuple[float, float]:

@@ -123,16 +123,17 @@ def dicke_cascade(cfg: DickeConfig, initial_m: float | None = None) -> CascadeRe
     dt = times[1] - times[0]
     step = expm(dt * L.matrix)
     rho = pure_state(dim, start)
-    states = [rho]
+    states = np.empty((len(times),) + rho.shape, dtype=complex)
+    states[0] = rho
     v = vec(rho)
     clamp_total = 0
-    for _ in range(len(times) - 1):
+    for k in range(1, len(times)):
         v = step @ v
         rho, clamped = clamp_density_matrix(unvec(v, dim), "dicke cascade")
         clamp_total += clamped
         if clamped:
             v = vec(rho)
-        states.append(rho)
+        states[k] = rho
     traj = Trajectory(states, g=dt, clamped=clamp_total)
     sz_op = collective_sz(cfg.n_qubits)
     sz = np.array([np.trace(s @ sz_op).real for s in states])
@@ -167,16 +168,17 @@ def cavity_cascade(
     dt = times[1] - times[0]
     step = expm(dt * L.matrix)
     rho = np.kron(pure_state(dim_q, start), pure_state(dim_c, 0))
-    states = [rho]
+    states = np.empty((len(times),) + rho.shape, dtype=complex)
+    states[0] = rho
     v = vec(rho)
     clamp_total = 0
-    for _ in range(len(times) - 1):
+    for k in range(1, len(times)):
         v = step @ v
         rho, clamped = clamp_density_matrix(unvec(v, dim_q * dim_c), "cavity cascade")
         clamp_total += clamped
         if clamped:
             v = vec(rho)
-        states.append(rho)
+        states[k] = rho
     traj = Trajectory(states, g=dt, clamped=clamp_total)
     sz_op = np.kron(collective_sz(cfg.n_qubits), np.eye(dim_c))
     sz = np.array([np.trace(s @ sz_op).real for s in states])

@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -278,42 +278,53 @@ def _csv_join(cells) -> str:
     return ",".join(cells)
 
 
+def _column(values) -> Iterator[str]:
+    """Cells of one numeric column: ``repr`` of each value as a Python number.
+
+    The cells are made row by row as the CSV is joined, so a long run never
+    holds every cell string at once.
+    """
+    return map(repr, np.asarray(values).tolist())
+
+
+def _csv_rows(header, columns) -> str:
+    lines = [_csv_join(header)] + [_csv_join(row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
 def trajectory_csv(traj: Trajectory, basis, coherences=()) -> str:
     header = ["step", "time"]
     header += [f"p_{label}" for label in basis]
     for i, j in coherences:
         header += [f"re_rho_{i}_{j}", f"im_rho_{i}_{j}"]
     header += ["trace", "min_eigenvalue"]
-    lines = [_csv_join(header)]
-    for k, rho in enumerate(traj.states):
-        row = [str(k), repr(k * traj.g)]
-        row += [repr(float(rho[i, i].real)) for i in range(len(basis))]
-        for i, j in coherences:
-            row += [repr(float(rho[i, j].real)), repr(float(rho[i, j].imag))]
-        row.append(repr(float(np.trace(rho).real)))
-        row.append(repr(float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())))
-        lines.append(_csv_join(row))
-    return "\n".join(lines) + "\n"
+    rows = np.arange(traj.steps + 1)
+    columns = [_column(rows), _column(rows * traj.g)]
+    populations = traj.populations()
+    columns += [_column(populations[:, i]) for i in range(len(basis))]
+    for i, j in coherences:
+        entry = traj.states[:, i, j]
+        columns += [_column(entry.real), _column(entry.imag)]
+    columns += [_column(traj.traces()), _column(traj.min_eigenvalues())]
+    return _csv_rows(header, columns)
 
 
-def observables_csv(traj: Trajectory, spec: EnergySpectrum) -> str:
-    energies = energy_expectations(traj, spec)
-    release = energy_release(traj, spec)
-    lines = [_csv_join(["step", "time", "energy", "release"])]
-    for k, value in zip(release.steps, release.values):
-        lines.append(
-            _csv_join([str(k), repr(k * traj.g), repr(float(energies[k])), repr(float(value))])
-        )
-    return "\n".join(lines) + "\n"
+def observables_csv(traj: Trajectory, spec: EnergySpectrum, energies: np.ndarray) -> str:
+    """Energy and release per step, from the trajectory's energy expectations."""
+    release = energy_release(traj, spec, energies=energies)
+    rows = np.arange(traj.steps)
+    columns = [
+        _column(rows), _column(rows * traj.g),
+        _column(energies[:-1]), _column(release.values),
+    ]
+    return _csv_rows(["step", "time", "energy", "release"], columns)
 
 
 def temperature_csv(traj: Trajectory, spec: EnergySpectrum) -> str:
     series = temperature_series(traj, spec)
-    lines = [_csv_join(["step", "inv_kbt", "temperature"])]
-    for k, beta in zip(series.steps, series.values):
-        temp = float("inf") if beta == 0 else 1.0 / beta
-        lines.append(_csv_join([str(k), repr(float(beta)), repr(float(temp))]))
-    return "\n".join(lines) + "\n"
+    temperatures = [float("inf") if beta == 0 else 1.0 / beta for beta in series.values]
+    columns = [_column(series.steps), _column(series.values), _column(temperatures)]
+    return _csv_rows(["step", "inv_kbt", "temperature"], columns)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
@@ -364,15 +375,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
 
         spec = _spectrum(cfg, basis)
         if spec is not None:
+            energies = energy_expectations(traj, spec)
             (out / "observables.csv").write_text(
-                observables_csv(traj, spec), encoding="utf-8", newline="\n"
+                observables_csv(traj, spec, energies), encoding="utf-8", newline="\n"
             )
             report["outputs"].append("observables.csv")
             (out / "temperature.csv").write_text(
                 temperature_csv(traj, spec), encoding="utf-8", newline="\n"
             )
             report["outputs"].append("temperature.csv")
-            energies = energy_expectations(traj, spec)
             report["energy_initial"] = float(energies[0])
             report["energy_final"] = float(energies[-1])
         else:

@@ -39,6 +39,16 @@ def test_cost_rejects_zero_norm():
         cost(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.parametrize("scale", [1.6e-162, 1e-200, 1e160, 1e300])
+def test_cost_survives_tiny_and_huge_norms(scale):
+    # |v|^2 underflows below ~1e-154 and overflows above ~1e154; the cost
+    # must not see a zero norm or lose the direction.
+    a = np.array([0.0, 0.3 + 0.4j, -1.2])
+    b = np.array([1.0, 0.5j, 0.25])
+    assert cost(scale * a, b) == pytest.approx(cost(a, b), abs=1e-15)
+    assert cost(a, scale * b) == pytest.approx(cost(a, b), abs=1e-15)
+
+
 @given(
     st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4),
     st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4),
@@ -170,6 +180,26 @@ def test_histogram_csv_format(basis, model):
     lines = hist.to_csv().strip().split("\n")
     assert lines[0] == "bin_left,density"
     assert len(lines) == 21
+
+
+def test_vertex_tables_built_once(basis, monkeypatch):
+    import spinfoam_oqs.bathfit as bathfit
+
+    model = standard_model(basis)
+    tables = model.tables()
+    assert model.tables() is tables
+    assert not tables[0].flags.writeable and not tables[1].flags.writeable
+
+    def no_vertex(*args):
+        raise AssertionError("vertex table rebuilt")
+
+    monkeypatch.setattr(bathfit, "pr_vertex", no_vertex)
+    target = TransitionMatrix(
+        tuple(label_str(b) for b in basis), model.matrix(np.ones(model.n_params))
+    )
+    problem = FitProblem(target, model, seed=0)
+    assert problem.tables is tables
+    assert problem.cost_at(np.ones(model.n_params)) <= 1e-12
 
 
 def test_two_vertex_model_parameter_count(model):

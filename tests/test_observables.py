@@ -179,6 +179,18 @@ def test_temperature_series_skips_undefined_steps():
 
 # --- thermal flow -------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "observable", [temperature_series, energy_expectations, energy_release]
+)
+def test_trajectory_and_spectrum_dimensions_must_match(observable):
+    # 3x3 states against a 2-level spectrum: an error naming both sizes,
+    # not an empty temperature series or a numpy matmul error.
+    traj = Trajectory([np.eye(3, dtype=complex) / 3] * 2)
+    spec = EnergySpectrum((Spin(1), Spin(2)))
+    with pytest.raises(ValueError, match="dimension 3.*2 levels"):
+        observable(traj, spec)
+
+
 def test_thermal_flow_residuals_vanish_full_rank():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
