@@ -26,6 +26,7 @@ from .amplitudes import (
     Foam2Complex,
     FoamProvider,
     KappaMatrix,
+    TiedGaussianBath,
     TransitionMatrix,
     asymptotic_vertex,
     kappa_from_W,

@@ -18,15 +18,16 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .recoupling import Spin, as_spin, wigner6j
+from .recoupling import Spin, as_spin, wigner6j, wigner6j_batch
 
 GAUSSIAN_TAIL_CUT = 1e-8
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k for k mod 4
+_PHASE_TABLE = np.array(_PHASES)
 
 
 class DegenerateSteadyStateError(ValueError):
@@ -287,6 +288,52 @@ class BoundaryState:
         return BoundaryState(merged)
 
 
+@dataclass(frozen=True)
+class TiedGaussianBath:
+    """Gaussian bath whose centres follow the pinned basis labels.
+
+    For the entry W[n, m], each in-link is weighted by a gaussian centred
+    on the spin of the in label m and each out-link by one centred on the
+    spin of the out label n.  Labels must be single spins.
+    """
+
+    in_links: tuple[int, ...]
+    out_links: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "in_links", tuple(int(l) for l in self.in_links))
+        object.__setattr__(self, "out_links", tuple(int(l) for l in self.out_links))
+        if set(self.in_links) & set(self.out_links):
+            raise ValueError("a tied bath link cannot follow both labels")
+
+    @property
+    def links(self) -> frozenset[int]:
+        return frozenset(self.in_links + self.out_links)
+
+    def state(self, n_label, m_label) -> BoundaryState:
+        """The bath of the single entry W[n, m]."""
+        centers = {l: as_spin(m_label) for l in self.in_links}
+        centers.update({l: as_spin(n_label) for l in self.out_links})
+        return BoundaryState.gaussian(centers)
+
+    def tables(self, labels, grid: Sequence[Spin]) -> dict[int, tuple[int, np.ndarray]]:
+        """Per link: (open axis, weight table with one row per label over grid).
+
+        In-links take the column axis 1 and out-links the row axis 0.
+        """
+        rows = []
+        for label in labels:
+            if isinstance(label, (tuple, list)):
+                raise ValueError(
+                    f"a tied gaussian bath needs single-spin labels, got {label_str(label)}"
+                )
+            rows.append(LinkWeight("gaussian", as_spin(label)).vector(grid))
+        table = np.array(rows).reshape(len(labels), len(grid))
+        out = {l: (1, table) for l in self.in_links}
+        out.update({l: (0, table) for l in self.out_links})
+        return out
+
+
 # ---------------------------------------------------------------------------
 # 3D transition amplitude
 # ---------------------------------------------------------------------------
@@ -316,8 +363,9 @@ def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> 
     ``pattern[k]`` numbers that axis by first appearance; slots on one
     axis (the faces pinned to one basis label) take one index, so the
     tensor has one dimension per distinct axis.  Each triad's triangle
-    rule is checked over the grid at once, and the signed 6j symbol is
-    evaluated only where all four hold; every other entry is zero.
+    rule is checked over the grid at once; the 6j symbols of the entries
+    where all four hold come from one batched lookup, and every other
+    entry is zero.
     """
     n_axes = max(pattern) + 1
     dims = [0] * n_axes
@@ -331,13 +379,10 @@ def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> 
     for a, b, c in _VERTEX_TRIADS:
         ta, tb, tc = face[a], face[b], face[c]
         ok &= ((ta + tb + tc) % 2 == 0) & (np.abs(ta - tb) <= tc) & (tc <= ta + tb)
-    admissible = np.stack([np.broadcast_to(f, dims)[ok] for f in face], axis=1)
-    spin = {t: Spin(t) for grid in tjs for t in grid if t >= 0}
+    index = np.nonzero(ok)
+    rows = np.stack([face[k].ravel()[index[axis]] for k, axis in enumerate(pattern)], axis=1)
     T = np.zeros(dims, dtype=complex)
-    T[ok] = [
-        _PHASES[sum(tj) % 4] * wigner6j(*[spin[t] for t in tj])
-        for tj in admissible.tolist()
-    ]
+    T[index] = _PHASE_TABLE[rows.sum(axis=1) % 4] * wigner6j_batch(rows)
     T.flags.writeable = False
     return T
 
@@ -373,7 +418,7 @@ def _face_weight_vector(grid: Sequence[Spin]) -> np.ndarray:
 
 def _contract_foam(
     foam: Foam2Complex,
-    terms: Sequence[tuple[complex, Mapping[int, LinkWeight]]],
+    terms: Sequence[tuple[complex, Mapping[int, LinkWeight | tuple[int, np.ndarray]]]],
     j_max: Spin,
     pins: Mapping[int, tuple[int, tuple[int, ...]]] | None = None,
     shape: tuple[int, ...] = (),
@@ -382,9 +427,12 @@ def _contract_foam(
 
     ``pins`` maps a boundary link to ``(axis, twice_js)``: its faces take
     output axis ``axis`` of ``shape``, with 2j ``twice_js[i]`` at index i.
-    The other boundary links are weighted by each term's link weights, and
-    internal faces are summed with the (-1)^j (2j+1) measure over their
-    range clipped to ``j_max``.  Returns an array of ``shape``.
+    The other boundary links are weighted by each term's link weights: a
+    LinkWeight, or ``(axis, table)`` for a weight that follows the labels,
+    whose row i weighs the spin grid from 0 to ``j_max`` at index i of
+    output axis ``axis``.  Internal faces are summed with the (-1)^j (2j+1)
+    measure over their range clipped to ``j_max``.  Returns an array of
+    ``shape``.
     """
     pins = pins or {}
     needed = set(foam.boundary_faces.values())
@@ -410,7 +458,6 @@ def _contract_foam(
     for f, (axis, tjs) in pinned.items():
         axis_of[f] = open_ids[axis]
         label_grid[f] = tuple(t if t <= j_max.twice_j else _OFF_GRID for t in tjs)
-    unused = [(i, n) for i, n in zip(open_ids, shape) if i not in axis_of.values()]
 
     grid_all = Spin.range(0, j_max)
     built: dict[tuple, np.ndarray] = {}
@@ -419,21 +466,27 @@ def _contract_foam(
         if weight == 0:
             continue
         grids = dict(label_grid)
-        vecs = {}
+        weights = []
         for f, link in foam.boundary_faces.items():
             if f in pinned:
                 continue
-            vec = link_weights[link].vector(grid_all)
-            support = np.flatnonzero(vec)
+            link_weight = link_weights[link]
+            if isinstance(link_weight, LinkWeight):
+                vec, axes = link_weight.vector(grid_all), [axis_of[f]]
+                support = np.flatnonzero(vec)
+            else:
+                axis, vec = link_weight
+                axes = [open_ids[axis], axis_of[f]]
+                support = np.flatnonzero(vec.any(axis=0))
             if support.size == 0:
                 break
             # grid_all starts at spin 0, so an index on it is a 2j value.
             grids[f] = tuple(int(t) for t in support)
-            vecs[f] = vec[support]
+            weights.append((vec[..., support], axes))
         else:
             for f, (tjs, vec) in free.items():
                 grids[f] = tjs
-                vecs[f] = vec
+                weights.append((vec, [axis_of[f]]))
             args = []
             for faces in foam.vertex_faces:
                 axes = [axis_of[f] for f in faces]
@@ -449,10 +502,12 @@ def _contract_foam(
                         T = _cached_vertex_tensor(tjs, pattern)
                     built[key] = T
                 args.extend((T, distinct))
-            for f, vec in vecs.items():
-                args.extend((vec, [axis_of[f]]))
-            for i, n in unused:
-                args.extend((np.ones(n), [i]))
+            for vec, axes in weights:
+                args.extend((vec, axes))
+            used = {a for axes in args[1::2] for a in axes}
+            for i, n in zip(open_ids, shape):
+                if i not in used:
+                    args.extend((np.ones(n), [i]))
             args.append(open_ids)
             total += weight * _einsum(args)
     return total
@@ -596,18 +651,21 @@ class FactorizedProvider:
     def __init__(self, weights: Sequence[complex]):
         self.weights = np.asarray(list(weights), dtype=complex)
 
-    def amplitude(self, n: int, m: int, labels) -> complex:
-        return complex(np.conj(self.weights[n]) * self.weights[m])
+    def matrix(self, labels) -> np.ndarray:
+        if len(labels) != len(self.weights):
+            raise ValueError(
+                f"{len(self.weights)} weights for a basis of {len(labels)} labels"
+            )
+        return np.outer(np.conj(self.weights), self.weights)
 
 
 class FoamProvider:
     """Pins in/out slots of a foam boundary and weights the rest by a bath.
 
     ``bath`` is a BoundaryState over the non-pinned boundary links, or a
-    callable (n_label, m_label) -> BoundaryState when the bath depends on
-    the pinned states.  ``transition_matrix`` builds W with ``matrix``
-    when the bath does not depend on the labels, and entry by entry with
-    ``amplitude`` when it does.
+    TiedGaussianBath whose link weights follow the pinned labels.  Either
+    way ``matrix`` fills all of W with one contraction per bath term;
+    ``amplitude`` contracts a single entry.
     """
 
     def __init__(
@@ -615,19 +673,19 @@ class FoamProvider:
         foam: Foam2Complex,
         in_links: Sequence[int],
         out_links: Sequence[int],
-        bath: BoundaryState | Callable | None = None,
+        bath: BoundaryState | TiedGaussianBath | None = None,
         j_max: Spin | float | str = Spin(8),
     ):
+        if bath is not None and not isinstance(bath, (BoundaryState, TiedGaussianBath)):
+            raise TypeError(
+                "bath must be a BoundaryState, a TiedGaussianBath or None, "
+                f"got {type(bath).__name__}"
+            )
         self.foam = foam
         self.in_links = tuple(in_links)
         self.out_links = tuple(out_links)
         self.bath = bath
         self.j_max = as_spin(j_max)
-
-    @property
-    def label_independent(self) -> bool:
-        """True when the bath is one state (or absent) for every label pair."""
-        return self.bath is None or isinstance(self.bath, BoundaryState)
 
     def amplitude(self, n: int, m: int, labels) -> complex:
         n_label, m_label = labels[n], labels[m]
@@ -638,16 +696,19 @@ class FoamProvider:
             zip(self.out_links, label_spins(n_label, len(self.out_links)))
         )
         state = BoundaryState.delta(pins)
-        bath = self.bath if self.label_independent else self.bath(n_label, m_label)
+        bath = self.bath
+        if isinstance(bath, TiedGaussianBath):
+            bath = bath.state(n_label, m_label)
         if bath is not None:
             state = state.merged(bath)
         return pr_transition(self.foam, state, self.j_max)
 
     def matrix(self, labels) -> np.ndarray:
-        """All of W for a label-independent bath, one contraction per term.
+        """All of W, one contraction per bath term.
 
         Faces on in-links take the open column axis m and faces on
-        out-links the row axis n, each over the label spins of its slot.
+        out-links the row axis n, each over the label spins of its slot;
+        a tied bath's links carry their weight tables on the same axes.
         """
         pins: dict[int, tuple[int, tuple[int, ...]]] = {}
         for axis, links in ((1, self.in_links), (0, self.out_links)):
@@ -659,45 +720,28 @@ class FoamProvider:
         else:
             if self.bath.links & pins.keys():
                 raise ValueError("cannot merge boundary states sharing links")
-            terms = self.bath.terms
+            if isinstance(self.bath, TiedGaussianBath):
+                terms = ((1.0, self.bath.tables(labels, Spin.range(0, self.j_max))),)
+            else:
+                terms = self.bath.terms
         return _contract_foam(self.foam, terms, self.j_max, pins, (len(labels),) * 2)
 
 
 def transition_matrix(provider, basis: Sequence) -> TransitionMatrix:
-    """Fill W[n, m] from a provider over all basis pairs.
+    """Fill W[n, m] over all basis pairs with ``provider.matrix(labels)``.
 
-    A FoamProvider with a label-independent bath fills all of W with one
-    contraction per bath term; other providers are asked entry by entry.
-    Provider failures are re-raised with the basis or (n, m) context
-    attached.
+    Provider failures are re-raised with the basis attached.
     """
     labels = list(basis)
-    dim = len(labels)
     names = tuple(label_str(l) for l in labels)
-
-    if isinstance(provider, FoamProvider) and provider.label_independent:
-        try:
-            entries = provider.matrix(labels)
-        except MissingBoundaryError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - context per contract
-            raise ProviderError(
-                f"amplitude provider failed over basis ({', '.join(names)}): {exc}"
-            ) from exc
-        return TransitionMatrix(names, entries)
-
-    def one(n, m):
-        try:
-            return provider.amplitude(n, m, labels)
-        except MissingBoundaryError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - context per contract
-            raise ProviderError(
-                f"amplitude provider failed at (n={names[n]}, m={names[m]}): {exc}"
-            ) from exc
-
-    values = [one(n, m) for n in range(dim) for m in range(dim)]
-    entries = np.array(values, dtype=complex).reshape(dim, dim)
+    try:
+        entries = provider.matrix(labels)
+    except MissingBoundaryError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - context per contract
+        raise ProviderError(
+            f"amplitude provider failed over basis ({', '.join(names)}): {exc}"
+        ) from exc
     return TransitionMatrix(names, entries)
 
 

@@ -142,7 +142,9 @@ def _spectral_betas(
     first undefined state raises instead.  The estimator runs in the
     order of the single-state formula and keeps ``math.log`` (``np.log``
     can differ from it in the last ulp), so each value is the one the
-    state would give on its own.
+    state would give on its own.  Where the ratio of two neighbouring
+    populations overflows or underflows, its log is the difference of
+    their logs, so a subnormal population still gives a finite value.
     """
     N = spec.dim
     pops = states.diagonal(axis1=1, axis2=2).real
@@ -171,8 +173,15 @@ def _spectral_betas(
         raise UndefinedTemperatureError("degenerate edge populations (N=2 Gibbs trap)")
     steps = np.flatnonzero(defined)
     pops, prefactor = pops[steps], prefactor[steps]
-    ratios = (pops[:, 1:] / pops[:, :-1]).ravel().tolist()
-    logs = np.array(list(map(math.log, ratios))).reshape(len(steps), N - 1)
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = pops[:, 1:] / pops[:, :-1]
+    # A ratio of populations that overflows or underflows to zero (one of
+    # them subnormal) takes its log as a difference of logs instead.
+    lost = ~np.isfinite(ratios) | (ratios == 0)
+    logs = np.array(list(map(math.log, np.where(lost, 1.0, ratios).ravel().tolist())))
+    logs = logs.reshape(len(steps), N - 1)
+    for k, i in zip(*np.nonzero(lost)):
+        logs[k, i] = math.log(pops[k, i + 1]) - math.log(pops[k, i])
     E = spec.energies()
     acc = np.zeros(len(steps))
     for i in range(1, N):

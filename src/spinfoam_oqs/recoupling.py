@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 DEFAULT_TWO_J_MAX = 40
 
 
@@ -308,17 +310,20 @@ def wigner6j(j1, j2, j3, j4, j5, j6) -> float:
     return value
 
 
-def wigner6j_many(arguments: Iterable[tuple], max_workers: int | None = None) -> list[float]:
-    """Evaluate a batch of 6j symbols, optionally across threads.
+def wigner6j_batch(rows) -> np.ndarray:
+    """Wigner 6j symbols for each row of an (N, 6) array of 2j values.
 
-    Evaluation is pure and cached, so the result does not depend on
-    scheduling.
+    Each row is looked up in the first-level cache keyed on the arguments
+    as given; only a miss goes through ``wigner6j``, so every value is the
+    one the scalar call returns.
     """
-    args = [tuple(a) for a in arguments]
-    if max_workers is None or max_workers <= 1:
-        return [wigner6j(*a) for a in args]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda a: wigner6j(*a), args))
-
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
+    keys = list(map(tuple, rows.tolist()))
+    if keys and int(rows.max()) > _table.two_j_max:
+        wigner6j(*map(Spin, keys[int(rows.max(axis=1).argmax())]))  # raises
+    get = _raw_cache.get
+    values = [get(key) for key in keys]
+    for i, value in enumerate(values):
+        if value is None:
+            values[i] = wigner6j(*map(Spin, keys[i]))
+    return np.array(values, dtype=float)

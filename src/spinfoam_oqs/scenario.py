@@ -22,6 +22,7 @@ from .amplitudes import (
     BoundaryState,
     FoamProvider,
     KappaMatrix,
+    TiedGaussianBath,
     TransitionMatrix,
     bridged_pair_foam,
     cascade_pair_foam,
@@ -171,7 +172,7 @@ def _parse_alpha(value) -> complex:
     return complex(value)
 
 
-def _build_bath(spec: Mapping[str, Any], labels):
+def _build_bath(spec: Mapping[str, Any]):
     kind = spec.get("kind")
     if kind == "gaussian":
         centers = {int(l): c for l, c in spec["centers"].items()}
@@ -187,16 +188,7 @@ def _build_bath(spec: Mapping[str, Any], labels):
         ]
         return BoundaryState.superposition(terms)
     if kind == "gaussian_tied":
-        in_links = [int(l) for l in spec.get("in", [])]
-        out_links = [int(l) for l in spec.get("out", [])]
-
-        def tied(n_label, m_label):
-            centers: dict[int, float] = {}
-            centers.update({l: float(as_spin(m_label).j) for l in in_links})
-            centers.update({l: float(as_spin(n_label).j) for l in out_links})
-            return BoundaryState.gaussian(centers)
-
-        return tied
+        return TiedGaussianBath(spec.get("in", []), spec.get("out", []))
     raise ScenarioError(f"unknown bath kind {kind!r}")
 
 
@@ -207,7 +199,7 @@ def build_kappa(cfg: ScenarioConfig) -> tuple[KappaMatrix, TransitionMatrix | No
         foam = _FOAM_BUILDERS[cfg["foam"]["kind"]](cfg["foam"])
         labels = list(cfg["basis"])
         bath_spec = cfg.get("bath")
-        bath = _build_bath(bath_spec, labels) if bath_spec else None
+        bath = _build_bath(bath_spec) if bath_spec else None
         provider = FoamProvider(
             foam,
             in_links=tuple(int(l) for l in cfg["in_links"]),

@@ -20,6 +20,7 @@ from spinfoam_oqs.amplitudes import (
     LinkWeight,
     MissingBoundaryError,
     ProviderError,
+    TiedGaussianBath,
     TransitionMatrix,
     asymptotic_vertex,
     bridged_pair_foam,
@@ -28,6 +29,7 @@ from spinfoam_oqs.amplitudes import (
     disconnected_pair_foam,
     interference_weight,
     kappa_from_W,
+    label_spins,
     label_str,
     pr_transition,
     pr_vertex,
@@ -183,12 +185,29 @@ def test_foam_provider_hermitian_modulus_for_symmetric_bath():
 
 def test_provider_error_carries_context():
     class Broken:
-        def amplitude(self, n, m, labels):
+        def matrix(self, labels):
             raise RuntimeError("boom")
 
     with pytest.raises(ProviderError) as err:
         transition_matrix(Broken(), ["1/2", "1"])
-    assert "n=1/2" in str(err.value)
+    assert "basis (1/2, 1)" in str(err.value) and "boom" in str(err.value)
+
+
+def test_callable_bath_is_rejected_at_construction():
+    def tied(n_label, m_label):
+        return BoundaryState.gaussian({1: float(as_spin(m_label).j)})
+
+    with pytest.raises(TypeError) as err:
+        FoamProvider(single_vertex_foam(), (0,), (3,), bath=tied, j_max=2)
+    assert "bath" in str(err.value)
+
+
+def test_tied_bath_rejects_tuple_labels():
+    bath = TiedGaussianBath((1, 2), (4, 5))
+    provider = FoamProvider(single_vertex_foam(), (0,), (3,), bath=bath, j_max=2)
+    with pytest.raises(ProviderError) as err:
+        transition_matrix(provider, ["1", ("1/2", "1", "3/2")])
+    assert "(1/2,1,3/2)" in str(err.value)
 
 
 # --- one contraction per W vs the per-entry fill ------------------------------
@@ -200,6 +219,30 @@ def reference_vertex_tensor(tjs):
         face = [tjs[k][i] for k, i in enumerate(index)]
         if min(face) >= 0:
             T[index] = pr_vertex(*(Spin(t) for t in face))
+    return T
+
+
+def scalar_fill_vertex_tensor(tjs, pattern):
+    """The vertex tensor filled one scalar ``wigner6j`` call per admissible entry."""
+    n_axes = max(pattern) + 1
+    dims = [0] * n_axes
+    face = []
+    for k, axis in enumerate(pattern):
+        dims[axis] = len(tjs[k])
+        shape = [1] * n_axes
+        shape[axis] = -1
+        face.append(np.array(tjs[k], dtype=np.int64).reshape(shape))
+    ok = np.ones(dims, dtype=bool)
+    for a, b, c in amplitudes._VERTEX_TRIADS:
+        ta, tb, tc = face[a], face[b], face[c]
+        ok &= ((ta + tb + tc) % 2 == 0) & (np.abs(ta - tb) <= tc) & (tc <= ta + tb)
+    admissible = np.stack([np.broadcast_to(f, dims)[ok] for f in face], axis=1)
+    phases = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+    T = np.zeros(dims, dtype=complex)
+    T[ok] = [
+        phases[sum(tj) % 4] * wigner6j(*[Spin(t) for t in tj])
+        for tj in admissible.tolist()
+    ]
     return T
 
 
@@ -220,6 +263,31 @@ def test_vertex_tensor_matches_full_product():
     assert not shared[2].any() and shared[0].any() and shared[1].any()
 
 
+@st.composite
+def vertex_tensor_cases(draw):
+    # Slot k joins the axis of an earlier slot or opens a new one, so the
+    # pattern numbers axes by first appearance and may repeat any of them.
+    pattern = [0]
+    for _ in range(5):
+        pattern.append(draw(st.integers(0, max(pattern) + 1)))
+    two_j = st.integers(-1, 9)  # -1 is the off-grid label
+    grids = [
+        tuple(draw(st.lists(two_j, min_size=1, max_size=4, unique=True)))
+        for _ in range(max(pattern) + 1)
+    ]
+    return [grids[a] for a in pattern], tuple(pattern)
+
+
+@given(vertex_tensor_cases())
+@settings(max_examples=150, deadline=None)
+def test_batched_vertex_tensor_is_bit_identical_to_scalar_fill(case):
+    tjs, pattern = case
+    batched = amplitudes._vertex_tensor(tjs, pattern)
+    scalar = scalar_fill_vertex_tensor(tjs, pattern)
+    assert batched.shape == scalar.shape
+    assert batched.tobytes() == scalar.tobytes()  # signed zeros included
+
+
 # (foam, in links, out links); every other boundary link is a bath link.
 FUSED_FOAMS = {
     "single_vertex": (lambda r: single_vertex_foam(), (0, 1, 2), (3, 4, 5)),
@@ -230,6 +298,10 @@ FUSED_FOAMS = {
     "cascade_pair": (cascade_pair_foam, (0,), (3,)),
     "disconnected_pair": (lambda r: disconnected_pair_foam(), (0,), (6,)),
 }
+
+
+# Foams whose fused W is also checked under a tied gaussian bath.
+TIED_FOAMS = ("cascade_pair", "disconnected_pair")
 
 
 def _spin_str(twice_j):
@@ -257,6 +329,18 @@ def fused_cases(draw):
     labels = draw(st.lists(label, min_size=1, max_size=3, unique=True))
 
     bath_links = sorted(set(foam.boundary_links) - set(in_links) - set(out_links))
+    if name in TIED_FOAMS and draw(st.booleans()):
+        # Each bath link follows the in or the out label at random, so one
+        # vertex may carry both label axes.  Gaussian centres must be
+        # positive, so spin 0 is left out.
+        sides = [draw(st.sampled_from(["in", "out"])) for _ in bath_links]
+        bath = TiedGaussianBath(
+            [l for l, side in zip(bath_links, sides) if side == "in"],
+            [l for l, side in zip(bath_links, sides) if side == "out"],
+        )
+        label = st.integers(1, two_jmax + 1).map(_spin_str)
+        labels = draw(st.lists(label, min_size=1, max_size=3, unique=True))
+        return FoamProvider(foam, in_links, out_links, bath=bath, j_max=Spin(two_jmax)), labels
     bath = None
     if bath_links:
         # Gaussian terms keep most amplitudes nonzero.  Delta terms after
@@ -278,16 +362,60 @@ def fused_cases(draw):
     return provider, labels
 
 
+def entrywise_W(provider, labels):
+    """W from one ``pr_transition`` per entry: delta pins merged with the bath.
+
+    A tied bath becomes, for entry (n, m), gaussians centred on the spin of
+    m on its in-links and on the spin of n on its out-links.
+    """
+    d = len(labels)
+    W = np.zeros((d, d), dtype=complex)
+    for n in range(d):
+        for m in range(d):
+            pins = dict(zip(provider.in_links, label_spins(labels[m], len(provider.in_links))))
+            pins.update(zip(provider.out_links, label_spins(labels[n], len(provider.out_links))))
+            state = BoundaryState.delta(pins)
+            bath = provider.bath
+            if isinstance(bath, TiedGaussianBath):
+                centers = {l: float(as_spin(labels[m]).j) for l in bath.in_links}
+                centers.update({l: float(as_spin(labels[n]).j) for l in bath.out_links})
+                bath = BoundaryState.gaussian(centers)
+            if bath is not None:
+                state = state.merged(bath)
+            W[n, m] = pr_transition(provider.foam, state, provider.j_max)
+    return W
+
+
 @given(fused_cases())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_fused_W_matches_entrywise(case):
     provider, labels = case
     fused = transition_matrix(provider, labels).entries
-    d = len(labels)
-    reference = np.array(
-        [[provider.amplitude(n, m, labels) for m in range(d)] for n in range(d)]
-    )
+    reference = entrywise_W(provider, labels)
     assert np.max(np.abs(fused - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("name", TIED_FOAMS)
+def test_fused_tied_W_covers_half_integer_and_off_grid_labels(name):
+    # jmax 2: 1/2 and 3/2 are half-integer, 5/2 lies above jmax.  In
+    # cascade_pair the shared internal face keeps W from factorizing.
+    build, in_links, out_links = FUSED_FOAMS[name]
+    foam = build((Spin(0), Spin(4)))
+    bath_links = sorted(set(foam.boundary_links) - set(in_links) - set(out_links))
+    in_vertex = {foam.boundary_faces.get(f) for f in foam.vertex_faces[0]}
+    bath = TiedGaussianBath(
+        [l for l in bath_links if l in in_vertex], [l for l in bath_links if l not in in_vertex]
+    )
+    provider = FoamProvider(foam, in_links, out_links, bath=bath, j_max=2)
+    labels = ["1/2", "1", "3/2", "5/2"]
+    fused = transition_matrix(provider, labels).entries
+    reference = entrywise_W(provider, labels)
+    assert np.max(np.abs(fused - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert not fused[3].any() and not fused[:, 3].any()
+    assert np.abs(fused[:3, :3]).max() > 0
+    assert provider.amplitude(2, 0, labels) == reference[2, 0]
+    if name == "cascade_pair":
+        assert np.linalg.matrix_rank(fused[:3, :3], tol=1e-12 * np.abs(fused).max()) > 1
 
 
 def test_fused_W_label_above_jmax_gives_zero_entries():

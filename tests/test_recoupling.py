@@ -6,6 +6,7 @@ import random
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from spinfoam_oqs.recoupling import (
     clear_cache,
     triangle_ok,
     wigner6j,
-    wigner6j_many,
+    wigner6j_batch,
 )
 
 
@@ -278,14 +279,29 @@ def test_capacity_error_names_spins():
     assert "41/2" in str(err.value)
 
 
-def test_concurrent_batch_matches_serial():
+def test_batch_matches_scalar_bit_for_bit():
     rng = random.Random(3)
-    batch = [tuple(Spin(t) for t in random_admissible_six(rng)) for _ in range(64)]
+    admissible = [random_admissible_six(rng) for _ in range(48)]
+    # Rows breaking a triangle rule or the parity of a triad are legal and
+    # come out zero, as the scalar call gives them.
+    broken = [(2, 2, 8, 2, 2, 2), (1, 1, 1, 1, 1, 1), (0, 0, 2, 0, 0, 0), (8, 0, 2, 4, 4, 4)]
+    rows = admissible + broken + admissible[:8]
     clear_cache()
-    serial = wigner6j_many(batch)
+    for row in rows[::3]:  # a third of the rows hit the cache, the rest miss
+        wigner6j(*map(Spin, row))
+    batch = wigner6j_batch(rows)
     clear_cache()
-    threaded = wigner6j_many(batch, max_workers=8)
-    assert serial == threaded
+    scalar = [wigner6j(*map(Spin, row)) for row in rows]
+    assert batch.dtype == float and batch.shape == (len(rows),)
+    assert batch.tobytes() == np.array(scalar).tobytes()
+    assert not batch[len(admissible):len(admissible) + len(broken)].any()
+    assert wigner6j_batch(np.zeros((0, 6), dtype=int)).shape == (0,)
+
+
+def test_batch_capacity_error_names_spins():
+    with pytest.raises(SpinCapacityError) as err:
+        wigner6j_batch([(2, 2, 2, 2, 2, 2), (41, 1, 1, 1, 1, 1)])
+    assert "41/2" in str(err.value)
 
 
 def test_concurrent_insert_safety():

@@ -245,7 +245,12 @@ def per_state_spectral_beta(rho, spec):
     acc = 0.0
     for i in range(1, N):
         weight = (pops[i] + pops[i - 1]) / 2.0
-        acc += weight * math.log(pops[i] / pops[i - 1]) / (E[i] - E[i - 1])
+        ratio = float(pops[i]) / float(pops[i - 1])  # a Python float division never warns
+        if 0.0 < ratio < math.inf:
+            log = math.log(ratio)
+        else:
+            log = math.log(pops[i]) - math.log(pops[i - 1])
+        acc += weight * log / (E[i] - E[i - 1])
     return -acc / prefactor
 
 
@@ -281,6 +286,25 @@ def test_stacked_observables_match_per_state_reference(case, scale):
         with pytest.raises(type(first_error)) as raised:
             temperature_series(traj, spec, skip_undefined=False)
         assert str(raised.value) == str(first_error)
+
+
+def test_subnormal_population_gives_a_finite_temperature_without_warning():
+    # Two levels, g = 2, 600 steps, every rate into level 2: the level-1
+    # population passes through subnormal values (2.2e-309 at step 355)
+    # before it reaches zero, and the ratio 1 / 2.2e-309 overflows.
+    kappa = KappaMatrix(("1", "2"), np.array([[0.0, 0.0], [1.0, 1.0]]))
+    traj = evolve_effective(kappa, EvolutionConfig(2.0, 600), np.diag([0.5, 0.5]).astype(complex))
+    spec = EnergySpectrum((Spin(1), Spin(2)))
+    ground = traj.populations()[:, 0]
+    subnormal = np.flatnonzero((ground > 0) & (ground < np.finfo(float).tiny))
+    assert subnormal.size > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = temperature_series(traj, spec)
+        beta, _ = spectral_temperature(traj.states[subnormal[-1]], spec)
+    assert set(subnormal.tolist()) <= set(series.steps)
+    assert np.isfinite(series.values).all() and math.isfinite(beta)
+    assert series.values[series.steps.index(int(subnormal[-1]))] == beta
 
 
 def test_temperature_series_raises_first_undefined_step_when_asked():
