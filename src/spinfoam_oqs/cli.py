@@ -9,6 +9,7 @@ header row, UTF-8, LF line endings; JSON reports use a stable key order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -95,7 +96,11 @@ def _cmd_evolve(args) -> int:
 def _cmd_steady_state(args) -> int:
     from .scenario import steady_state_report
 
-    cfg = _load_config(args.config, args)
+    try:
+        cfg = _load_config(args.config, args)
+    except Exception as exc:  # noqa: BLE001 - bad config is a run failure
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     report = steady_state_report(cfg, _out_dir(args, args.config))
     if report["status"] != "ok":
         print(f"error: {report.get('error')}", file=sys.stderr)
@@ -339,8 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -17,9 +17,14 @@ The effective generator sum kappa[n,m] D_{|n><m|} is purely incoherent: it
 is a classical (Pauli) rate equation on the populations, and every
 coherence decays on its own.  ``kappa_generator`` fills its D^2 x D^2
 matrix directly from those two parts, and ``evolve_effective`` steps them
-separately without ever forming that matrix.  The generic ``generator``
-builds from ``dissipator_matrix`` products and is the reference both are
-tested against.
+separately without ever forming that matrix.  ``kappa_steady_states``
+does not form it either: it returns one diagonal steady state per closed
+class of the jump graph, each the null vector of that class's d_C x d_C
+block of the population rate matrix, ordered by the class's smallest
+basis index.  The generic ``generator`` builds from ``dissipator_matrix``
+products, and the generic ``steady_states`` takes an SVD of any D^2 x D^2
+generator; they are the references the structured paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -423,6 +428,73 @@ def steady_states(L: Superoperator, kernel_tol: float = 1e-9) -> list[np.ndarray
     if not checked:
         raise EmptyKernelError("candidate steady states fail ||L rho|| <= 1e-10")
     return checked
+
+
+def _closed_classes(jumps: np.ndarray) -> list[np.ndarray]:
+    """Closed classes of the jump graph, each sorted, ordered by first state.
+
+    ``jumps[n, m]`` marks a jump m -> n.  Reachability is the boolean
+    transitive closure, by repeated squaring; a state is recurrent when
+    every state it reaches reaches it back, and its class is then the set
+    of states it reaches.
+    """
+    d = jumps.shape[0]
+    reach = jumps.T | np.eye(d, dtype=bool)  # reach[m, n]: m reaches n
+    while True:
+        step = reach.astype(np.int64)
+        wider = (step @ step) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    recurrent = np.all(reach <= reach.T, axis=1)
+    classes, seen = [], np.zeros(d, dtype=bool)
+    for m in np.flatnonzero(recurrent):
+        if not seen[m]:
+            members = np.flatnonzero(reach[m])
+            seen[members] = True
+            classes.append(members)
+    return classes
+
+
+def kappa_steady_states(kappa) -> list[np.ndarray]:
+    """One steady state of sum kappa[n,m] D_{|n><m|} per closed class.
+
+    The populations follow the rate matrix A = kappa - diag(Gamma) (see
+    ``_rates``), and a closed class of its jump graph (edge m -> n when
+    kappa[n, m] > 0, n != m) carries exactly one invariant distribution:
+    the null vector of A restricted to the class, found by an SVD of that
+    d_C x d_C block.  The returned states are diagonal, one per closed
+    class, ordered by the class's smallest basis index.  They span the
+    null space of A; stationary coherences, which exist only between
+    states no jump leaves, are not returned.  No D^2 x D^2 matrix is
+    built.  Each state is checked for unit trace, nonnegativity (entries
+    above -1e-10 are clamped to zero and the state renormalized) and
+    ||A p|| <= 1e-10.
+    """
+    pop, _ = _rates(kappa)
+    d = pop.shape[0]
+    jumps = pop > 0
+    np.fill_diagonal(jumps, False)
+    states = []
+    for members in _closed_classes(jumps):
+        null = np.linalg.svd(pop[np.ix_(members, members)])[2][-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = null / null.sum()
+        if not np.all(np.isfinite(block)) or block.min() < -POSITIVITY_TOL:
+            raise EmptyKernelError(
+                f"class {members.tolist()} has no nonnegative null vector"
+            )
+        block = np.clip(block, 0.0, None)
+        p = np.zeros(d)
+        p[members] = block / block.sum()
+        residual = float(np.max(np.abs(pop @ p)))
+        if abs(p.sum() - 1.0) > TRACE_TOL or residual > 1e-10:
+            raise EmptyKernelError(
+                f"steady state of class {members.tolist()} fails "
+                f"||A p|| <= 1e-10 (residual {residual:.2e})"
+            )
+        states.append(np.diag(p).astype(complex))
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ seed; every default the run fills in is echoed back in report.json.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,9 +38,8 @@ from .lindblad import (
     EvolutionConfig,
     Trajectory,
     evolve_effective,
-    kappa_generator,
+    kappa_steady_states,
     state_from_amplitudes,
-    steady_states,
 )
 from .observables import (
     EnergySpectrum,
@@ -83,6 +83,35 @@ DEFAULTS = {
 
 class ScenarioError(ValueError):
     """Configuration failed validation."""
+
+
+def _check_kappa_table(table, basis) -> None:
+    """Reject a kappa table that is not a square numeric matrix of the basis size."""
+    if not (
+        isinstance(table, (list, tuple))
+        and table
+        and all(isinstance(row, (list, tuple)) for row in table)
+    ):
+        raise ScenarioError(f"kappa must be a non-empty list of rows, got {table!r}")
+    lengths = [len(row) for row in table]
+    if len(set(lengths)) > 1:
+        raise ScenarioError(f"kappa is ragged: row lengths {lengths}")
+    if lengths[0] != len(table):
+        raise ScenarioError(
+            f"kappa must be square, got {len(table)} rows of {lengths[0]} cells"
+        )
+    for n, row in enumerate(table):
+        for m, cell in enumerate(row):
+            if (
+                isinstance(cell, bool)
+                or not isinstance(cell, (int, float))
+                or not math.isfinite(cell)
+            ):
+                raise ScenarioError(f"kappa[{n}][{m}] is not a finite number: {cell!r}")
+    if basis is not None and len(basis) != len(table):
+        raise ScenarioError(
+            f"kappa is {len(table)} x {len(table)} but basis has {len(basis)} labels"
+        )
 
 
 @dataclass
@@ -130,6 +159,7 @@ class ScenarioConfig:
         else:
             if "kappa" not in cfg:
                 raise ScenarioError("explicit_kappa backend needs a kappa table")
+            _check_kappa_table(cfg["kappa"], cfg.get("basis"))
             cfg.setdefault(
                 "basis", [str(i) for i in range(len(cfg["kappa"]))]
             )
@@ -399,14 +429,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
 
 
 def steady_state_report(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
-    """Solve for steady states of the scenario's damping generator."""
+    """Steady states of the scenario's damping generator, one per closed class.
+
+    ``steady.csv`` holds one population row per closed class of kappa's
+    jump graph, ordered by the class's smallest basis index.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report: dict[str, Any] = {"config": cfg.raw, "status": "ok", "outputs": []}
     try:
         kappa, _W = build_kappa(cfg)
-        gen = kappa_generator(kappa)
-        states = steady_states(gen)
+        states = kappa_steady_states(kappa)
         lines = [_csv_join(["state_index"] + [f"p_{b}" for b in kappa.basis])]
         for idx, rho in enumerate(states):
             row = [str(idx)] + [repr(float(rho[i, i].real)) for i in range(kappa.dim)]

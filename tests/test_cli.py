@@ -245,6 +245,138 @@ def test_cli_steady_state(tmp_path, capsys):
     assert "steady[0]" in out
 
 
+# Closed classes {1, 3} and {2, 4}; state 0 is transient and feeds both.
+TWO_CLASS_KAPPA = [
+    [0.2, 0.0, 0.0, 0.0, 0.0],
+    [0.5, 0.4, 0.0, 0.7, 0.0],
+    [0.3, 0.0, 0.5, 0.0, 0.9],
+    [0.0, 0.6, 0.0, 0.3, 0.0],
+    [0.0, 0.0, 0.5, 0.0, 0.1],
+]
+
+
+def test_cli_steady_state_one_row_per_closed_class(tmp_path):
+    path = tmp_path / "two_class.json"
+    path.write_text(json.dumps({
+        "backend": "explicit_kappa",
+        "kappa": TWO_CLASS_KAPPA,
+        "evolution": {"g": 0.5, "steps": 10, "initial": "0"},
+    }))
+    for run in ("a", "b"):
+        rc = main(["steady-state", "--config", str(path), "--out", str(tmp_path / run)])
+        assert rc == 0
+    header, rows = read_csv(tmp_path / "a" / "steady.csv")
+    assert header == ["state_index", "p_0", "p_1", "p_2", "p_3", "p_4"]
+    assert [row[0] for row in rows] == ["0", "1"]
+    pops = np.array([[float(cell) for cell in row[1:]] for row in rows])
+    expected = [[0, 7 / 13, 0, 6 / 13, 0], [0, 0, 9 / 14, 0, 5 / 14]]
+    assert np.max(np.abs(pops - expected)) <= 1e-15
+    report = json.loads((tmp_path / "a" / "steady_report.json").read_text())
+    assert report["count"] == 2
+    for name in ("steady.csv", "steady_report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_cli_steady_state_single_class_matches_generic_kernel(tmp_path):
+    from spinfoam_oqs.lindblad import kappa_generator, steady_states
+    from spinfoam_oqs.scenario import build_kappa
+
+    config = SCENARIOS / "two_level_asymptotic.json"
+    assert main(["steady-state", "--config", str(config), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "steady.csv")
+    assert len(rows) == 1
+    kappa, _ = build_kappa(ScenarioConfig.from_file(config))
+    reference = np.diag(steady_states(kappa_generator(kappa))[0]).real
+    assert np.max(np.abs(np.array(rows[0][1:], dtype=float) - reference)) <= 1e-12
+
+
+def test_main_reuses_its_parser_without_leaking_arguments(tmp_path, monkeypatch):
+    from spinfoam_oqs import cli
+
+    parser = cli._parser()
+    assert cli._parser() is parser
+    assert cli.build_parser() is not cli.build_parser()
+    seen = []
+    parse = parser.parse_args
+
+    def recording_parse(argv=None):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", recording_parse)
+    first = str(SCENARIOS / "explicit_kappa_identity.json")
+    second = str(SCENARIOS / "two_level_asymptotic.json")
+    rc = main(["evolve", "--config", first, second, "--jobs", "2", "--seed", "7",
+               "--out", str(tmp_path / "batch")])
+    assert rc == 0
+    assert main(["evolve", "--config", first, "--out", str(tmp_path / "one")]) == 0
+    assert [(ns.jobs, ns.seed, ns.config) for ns in seen] == [
+        (2, 7, [first, second]), (1, None, [first])
+    ]
+    report = json.loads((tmp_path / "one" / "report.json").read_text())
+    assert report["config"]["seed"] == 0
+
+
+def test_main_reused_parser_gives_the_outputs_of_fresh_parsers(tmp_path):
+    from spinfoam_oqs import cli
+
+    config = str(SCENARIOS / "two_level_asymptotic.json")
+
+    def run(out, fresh):
+        for command in ("steady-state", "evolve"):
+            if fresh:
+                cli._parser.cache_clear()
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+
+    run(tmp_path / "reused", fresh=False)
+    run(tmp_path / "fresh", fresh=True)
+    names = sorted(p.name for p in (tmp_path / "reused").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert "steady.csv" in names and "trajectory.csv" in names
+    for name in names:
+        reused = (tmp_path / "reused" / name).read_text()
+        fresh = (tmp_path / "fresh" / name).read_text()
+        if name == "report.json":  # wall_time_s differs from run to run
+            reused, fresh = json.loads(reused), json.loads(fresh)
+            reused.pop("wall_time_s"), fresh.pop("wall_time_s")
+        assert reused == fresh, name
+
+
+@pytest.mark.parametrize(
+    "kappa, basis, message",
+    [
+        ([[1.0, 0.0], [1.0]], None, r"kappa is ragged: row lengths \[2, 1\]"),
+        ([[0.5, 0.5, 0.0], [0.5, 0.5, 1.0]], None,
+         r"kappa must be square, got 2 rows of 3 cells"),
+        ([[1.0, 0.0], [0.0, 1.0]], ["a", "b", "c"],
+         r"kappa is 2 x 2 but basis has 3 labels"),
+        ([[1.0, "x"], [0.0, 1.0]], None, r"kappa\[0\]\[1\] is not a finite number: 'x'"),
+    ],
+    ids=["ragged", "non_square", "basis_size", "non_numeric"],
+)
+def test_bad_kappa_table_rejected_before_any_output(tmp_path, capsys, kappa, basis, message):
+    data = {
+        "backend": "explicit_kappa",
+        "kappa": kappa,
+        "evolution": {"g": 0.5, "steps": 3, "initial": "0"},
+    }
+    if basis is not None:
+        data["basis"] = basis
+    with pytest.raises(ScenarioError, match=message):
+        ScenarioConfig.from_mapping(data)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 1
+    assert re.search(message, json.loads((out / "report.json").read_text())["error"])
+    capsys.readouterr()
+    assert main(["steady-state", "--config", str(path), "--out", str(out)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not (out / "kappa.csv").exists()
+    assert not (out / "steady.csv").exists()
+
+
 def test_cli_two_level_prints_value(capsys):
     rc = main(["two-level", "--lambda1", "1", "--lambda2", "2"])
     assert rc == 0

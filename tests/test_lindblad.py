@@ -22,6 +22,7 @@ from spinfoam_oqs.lindblad import (
     evolve_kicked,
     generator,
     kappa_generator,
+    kappa_steady_states,
     kraus_from_map,
     limit_channel,
     maximally_mixed,
@@ -501,6 +502,91 @@ def test_steady_states_multi_class_first_representative_agrees(seed):
     assert len(direct) >= 2
     assert len(direct) == len(reference)
     assert np.max(np.abs(direct[0] - reference[0])) <= 1e-12
+
+
+def block_kappa(rng, d, blocks, transient, convention, zero_frac, dead):
+    """Rates with ``blocks`` groups closed to each other and transient states.
+
+    States in a group jump only inside it; the ``transient`` states may jump
+    anywhere.  Zero rows or columns left by ``zero_frac`` get a self-jump,
+    which changes no class.  With ``dead`` (over_m) up to two columns are
+    all zero, so no jump, not even a self-jump, leaves those states.
+    """
+    transient = min(transient, d - 1)
+    group = np.full(d, -1)
+    group[transient:] = np.arange(d - transient) % blocks
+    group = rng.permutation(group)
+    allowed = (group[None, :] < 0) | (group[:, None] == group[None, :])
+    raw = rng.uniform(0.05, 1.0, size=(d, d)) * allowed
+    raw *= rng.uniform(size=(d, d)) >= zero_frac
+    if convention == "over_n":
+        empty = raw.sum(axis=0) == 0
+        raw[empty, empty] = 1.0
+        entries = raw / raw.sum(axis=0, keepdims=True)
+    else:
+        dead_cols = rng.choice(d, size=min(2, d), replace=False) if dead else []
+        raw[:, dead_cols] = 0.0
+        for n in np.flatnonzero(raw.sum(axis=1) == 0):
+            live = [m for m in np.flatnonzero(allowed[n]) if m not in dead_cols]
+            raw[n, live[0] if live else n] = 1.0
+        entries = raw / raw.sum(axis=1, keepdims=True)
+    return KappaMatrix(tuple(str(i) for i in range(d)), entries, convention)
+
+
+def closed_class_count(entries):
+    """Strongly connected components of the jump graph with no jump out."""
+    from scipy.sparse.csgraph import connected_components
+
+    jumps = (entries > 0).T & ~np.eye(len(entries), dtype=bool)  # [m, n]: m -> n
+    count, labels = connected_components(jumps, directed=True, connection="strong")
+    leaves = {labels[m] for m, n in zip(*np.nonzero(jumps)) if labels[m] != labels[n]}
+    return count - len(leaves)
+
+
+def span_projector(vectors):
+    q, _ = np.linalg.qr(np.asarray(vectors, dtype=float).T)
+    return q @ q.T
+
+
+block_kappa_tables = st.builds(
+    lambda d, blocks, transient, convention, seed, zero_frac, dead: block_kappa(
+        np.random.default_rng(seed), d, blocks, transient, convention, zero_frac, dead
+    ),
+    st.integers(1, 9),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.sampled_from(["over_n", "over_m"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5, 0.8]),
+    st.booleans(),
+)
+
+
+@given(block_kappa_tables)
+@settings(max_examples=150, deadline=None)
+def test_kappa_steady_states_one_per_closed_class(km):
+    states = kappa_steady_states(km)
+    assert len(states) == closed_class_count(km.entries)
+
+    L = kappa_generator(km)
+    pops = [np.diag(rho).real for rho in states]
+    firsts = [int(np.flatnonzero(p)[0]) for p in pops]
+    assert firsts == sorted(firsts)
+    for rho, p in zip(states, pops):
+        assert np.array_equal(rho, np.diag(np.diag(rho)))
+        assert p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(L.apply(rho))) <= 1e-10
+    support = np.array(pops) > 0
+    assert support.sum(axis=0).max() <= 1  # classes are disjoint
+
+    A = km.entries - np.diag(km.entries.sum(axis=0))
+    _, s, vh = np.linalg.svd(A)
+    kernel = vh[s <= 1e-9 * max(s.max(), 1.0)]
+    assert np.max(np.abs(span_projector(pops) - span_projector(kernel))) <= 1e-9
+
+    if len(states) == 1:
+        reference = steady_states(L)[0]
+        assert np.max(np.abs(states[0] - reference)) <= 1e-12
 
 
 # --- subspace relaxer ---------------------------------------------------------------
