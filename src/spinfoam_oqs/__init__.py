@@ -8,7 +8,7 @@ the resulting relaxation are evaluated and exported.
 
 __version__ = "0.1.0"
 
-from .recoupling import Spin, SixJKey, as_spin, triangle_ok, wigner6j
+from .recoupling import Spin, as_spin, triangle_ok, wigner6j
 from .spin_network import (
     ZERO,
     Link,

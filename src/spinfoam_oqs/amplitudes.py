@@ -620,6 +620,8 @@ class KappaMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] != len(self.basis):
             raise ValueError("entries must be square and match the basis")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("non-finite kappa rate")
         if np.any(e < -1e-15) or np.any(e > 1 + 1e-12):
             raise ValueError("kappa entries must lie in [0, 1]")
         if self.convention not in ("over_n", "over_m"):
@@ -643,20 +645,6 @@ class KappaMatrix:
                 lab + "," + ",".join(repr(float(x)) for x in self.entries[n])
             )
         return "\n".join(rows) + "\n"
-
-
-class FactorizedProvider:
-    """W[n, m] = conj(w_n) w_m for independent in and out state weights."""
-
-    def __init__(self, weights: Sequence[complex]):
-        self.weights = np.asarray(list(weights), dtype=complex)
-
-    def matrix(self, labels) -> np.ndarray:
-        if len(labels) != len(self.weights):
-            raise ValueError(
-                f"{len(self.weights)} weights for a basis of {len(labels)} labels"
-            )
-        return np.outer(np.conj(self.weights), self.weights)
 
 
 class FoamProvider:

@@ -17,50 +17,35 @@ from pathlib import Path
 import numpy as np
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    parser.add_argument("--jmax", default=None, help="override spin cutoff (e.g. 2 or 5/2)")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        default=True,
-        help="deterministic mode (default; recorded in the report)",
-    )
-
-
 def _load_config(path: str, args) -> "ScenarioConfig":
     from .scenario import ScenarioConfig
 
     cfg = ScenarioConfig.from_file(path)
-    if args.seed is not None:
-        cfg.raw["seed"] = args.seed
     if args.jmax is not None:
         cfg.raw["jmax"] = args.jmax
-    cfg.raw["deterministic"] = bool(args.deterministic)
     return cfg
 
 
-def _out_dir(args, config_path: str) -> Path:
+def _out_dir(args, config_path: str, batch: bool = False) -> Path:
+    """``--out`` itself, or its ``<config stem>`` subdirectory in a batch;
+    without ``--out``, ``<config stem>_out`` next to the config."""
+    stem = Path(config_path).stem
     if args.out:
-        return Path(args.out)
-    return Path(config_path).resolve().parent / (Path(config_path).stem + "_out")
+        return Path(args.out) / stem if batch else Path(args.out)
+    return Path(config_path).resolve().parent / (stem + "_out")
 
 
 def _cmd_evolve(args) -> int:
     from .scenario import run_scenario
 
     jobs = max(1, args.jobs)
-    tasks = [(path, _out_dir(args, path) if len(args.config) == 1 or args.out is None
-              else Path(args.out) / Path(path).stem) for path in args.config]
-    if args.out and len(args.config) == 1:
-        tasks = [(args.config[0], Path(args.out))]
+    batch = len(args.config) > 1
+    tasks = [(path, _out_dir(args, path, batch)) for path in args.config]
 
     def run_one(path, out):
         try:
             cfg = _load_config(path, args)
         except Exception as exc:  # noqa: BLE001 - bad config is a run failure
-            out = Path(out)
             out.mkdir(parents=True, exist_ok=True)
             report = {
                 "status": "error",
@@ -123,17 +108,27 @@ def _cmd_two_level(args) -> int:
         value = two_level_rho11(args.lambda1, args.lambda2, params)
         print(repr(value))
         return 0
+    from .scenario import _column, _csv_rows
+
     lo, hi, n = args.sweep
     grid = np.linspace(float(lo), float(hi), int(n))
-    lines = ["lambda1,lambda2,rho11"]
-    for l1 in grid:
-        for l2 in grid:
-            lines.append(f"{l1!r},{l2!r},{two_level_rho11(float(l1), float(l2), params)!r}")
-    out = Path(args.out or "two_level_sweep.csv")
+    lambda1, lambda2 = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    rho11 = [
+        two_level_rho11(l1, l2, params)
+        for l1, l2 in zip(lambda1.tolist(), lambda2.tolist())
+    ]
+    columns = [_column(lambda1), _column(lambda2), _column(rho11)]
+    return _write_csv(args.out, "two_level_sweep.csv",
+                      _csv_rows(["lambda1", "lambda2", "rho11"], columns))
+
+
+def _write_csv(out, default_name: str, text: str) -> int:
+    """Write ``text`` to ``out`` (into it when it is a directory)."""
+    out = Path(out or default_name)
     if out.is_dir():
-        out = out / "two_level_sweep.csv"
+        out = out / default_name
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    out.write_text(text, encoding="utf-8", newline="\n")
     print(f"wrote {out}")
     return 0
 
@@ -153,21 +148,28 @@ def _fit_basis(spec, config_path: str):
     )
 
 
-def _cmd_fit(args) -> int:
-    from .bathfit import FitProblem, chain_target, fit_bath, standard_model
+def _fit_problem(args):
+    """The fit config, its basis, and the problem ``fit`` and ``sample`` share."""
+    from .bathfit import FitProblem, chain_target, standard_model
 
     with open(args.config, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
     basis = _fit_basis(spec, args.config)
-    model = standard_model(basis)
     target = chain_target(
         int(spec.get("vertices", 2)),
         basis,
         internal_max=spec.get("internal_max", "2"),
         j_max=spec.get("j_max", "5/2"),
     )
-    result = fit_bath(FitProblem(target, model, seed=seed))
+    return spec, basis, FitProblem(target, standard_model(basis), seed=seed)
+
+
+def _cmd_fit(args) -> int:
+    from .bathfit import fit_bath
+
+    spec, basis, problem = _fit_problem(args)
+    result = fit_bath(problem)
     out = _out_dir(args, args.config)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -189,20 +191,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .bathfit import FitProblem, chain_target, sample_cost_distribution, standard_model
+    from .bathfit import sample_cost_distribution
 
-    with open(args.config, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    basis = _fit_basis(spec, args.config)
-    model = standard_model(basis)
-    target = chain_target(
-        int(spec.get("vertices", 2)),
-        basis,
-        internal_max=spec.get("internal_max", "2"),
-        j_max=spec.get("j_max", "5/2"),
-    )
-    problem = FitProblem(target, model, seed=seed)
+    _spec, _basis, problem = _fit_problem(args)
     hist = sample_cost_distribution(problem, args.n)
     out = _out_dir(args, args.config)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,8 +232,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_spectral_temperature(args) -> int:
-    from .observables import EnergySpectrum, spectral_temperature
+    from .lindblad import Trajectory
+    from .observables import EnergySpectrum
     from .recoupling import as_spin
+    from .scenario import temperature_csv
 
     spins = tuple(as_spin(s.strip()) for s in args.spins.split(","))
     spec = EnergySpectrum(spins, scale=args.scale)
@@ -256,26 +249,14 @@ def _cmd_spectral_temperature(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        lines = ["step,inv_kbt,temperature"]
-        for line in fh:
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            step = cells[0]
-            pops = np.array([float(cells[i]) for i in pop_cols])
-            rho = np.diag(pops).astype(complex)
-            try:
-                beta, temp = spectral_temperature(rho, spec)
-            except ValueError:
-                continue
-            lines.append(f"{step},{beta!r},{temp!r}")
-    out = Path(args.out or "temperature.csv")
-    if out.is_dir():
-        out = out / "temperature.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    print(f"wrote {out}")
-    return 0
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    populations = np.array(
+        [[float(cells[i]) for i in pop_cols] for cells in rows]
+    ).reshape(len(rows), len(spins))
+    states = np.zeros((len(rows), len(spins), len(spins)), dtype=complex)
+    diagonal = np.arange(len(spins))
+    states[:, diagonal, diagonal] = populations
+    return _write_csv(args.out, "temperature.csv", temperature_csv(Trajectory(states), spec))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,12 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="run one or more scenario configs")
     p.add_argument("--config", nargs="+", required=True)
     p.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
-    _add_common(p)
+    p.add_argument("--jmax", default=None, help="override spin cutoff (e.g. 2 or 5/2)")
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("steady-state", help="steady states of a scenario's generator")
     p.add_argument("--config", required=True)
-    _add_common(p)
+    p.add_argument("--jmax", default=None, help="override spin cutoff (e.g. 2 or 5/2)")
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_steady_state)
 
     p = sub.add_parser("two-level", help="closed-form two-level steady state")
@@ -313,13 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the simplified two-vertex model to a foam target")
     p.add_argument("--config", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the fit config's seed")
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sample", help="cost distribution at random model parameters")
     p.add_argument("--config", required=True)
     p.add_argument("--n", type=int, default=10000)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the fit config's seed")
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("compare", help="L2 distance of two integral-normalized CSV series")

@@ -114,11 +114,6 @@ class Superoperator:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho), self.dim)
 
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other (matrix product)."""
-        kind = "channel" if self.kind == other.kind == "channel" else "generator"
-        return Superoperator(self.matrix @ other.matrix, kind)
-
     def trace_defect(self) -> float:
         """How strongly the map fails to preserve trace.
 
@@ -630,19 +625,12 @@ class EvolutionConfig:
 
     g: float
     steps: int
-    epsilon: float | None = None
-    kick_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.g <= 0:
             raise ValueError("g must be positive")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
-        if self.kick_times is not None:
-            times = tuple(float(t) for t in self.kick_times)
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise ValueError("kick schedule must be strictly increasing")
-            object.__setattr__(self, "kick_times", times)
 
 
 # Blocks shorter than this send every state through clamp_density_matrix:

@@ -197,21 +197,6 @@ def canonical_six_j_key(spins: Iterable[Spin]) -> tuple[int, ...]:
     return best
 
 
-@dataclass(frozen=True)
-class SixJKey:
-    """Canonical cache key for a 6j symbol (all 24 symmetries collapse)."""
-
-    twice_js: tuple[int, ...]
-
-    @classmethod
-    def from_spins(cls, spins: Iterable[Spin]) -> "SixJKey":
-        return cls(canonical_six_j_key(spins))
-
-    @property
-    def spins(self) -> tuple[Spin, ...]:
-        return tuple(Spin(t) for t in self.twice_js)
-
-
 _TRIADS = ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
 _OPPOSITE_PAIRS = ((0, 3), (1, 4), (2, 5))
 

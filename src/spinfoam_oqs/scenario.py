@@ -2,8 +2,8 @@
 
 A scenario names one amplitude backend (3D recoupling foam, analytic
 two-level, or an explicit damping table), an evolution block, and the
-observables to export.  Outputs are deterministic for a fixed config and
-seed; every default the run fills in is echoed back in report.json.
+observables to export.  Outputs are deterministic for a fixed config;
+every default the run fills in is echoed back in report.json.
 """
 
 from __future__ import annotations
@@ -72,12 +72,10 @@ _FOAM_BUILDERS = {
 }
 
 DEFAULTS = {
-    "seed": 0,
     "normalization": "over_n",
     "jmax": "2",
     "energy_scale": 1.0,
     "coherences": [],
-    "deterministic": True,
 }
 
 
@@ -296,10 +294,6 @@ def _spectrum(cfg: ScenarioConfig, basis) -> EnergySpectrum | None:
     return EnergySpectrum(spins, scale=float(cfg.get("energy_scale", 1.0)))
 
 
-def _csv_join(cells) -> str:
-    return ",".join(cells)
-
-
 def _column(values) -> Iterator[str]:
     """Cells of one numeric column: ``repr`` of each value as a Python number.
 
@@ -310,7 +304,7 @@ def _column(values) -> Iterator[str]:
 
 
 def _csv_rows(header, columns) -> str:
-    lines = [_csv_join(header)] + [_csv_join(row) for row in zip(*columns)]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -440,18 +434,16 @@ def steady_state_report(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
     try:
         kappa, _W = build_kappa(cfg)
         states = kappa_steady_states(kappa)
-        lines = [_csv_join(["state_index"] + [f"p_{b}" for b in kappa.basis])]
-        for idx, rho in enumerate(states):
-            row = [str(idx)] + [repr(float(rho[i, i].real)) for i in range(kappa.dim)]
-            lines.append(_csv_join(row))
+        populations = np.array([rho.diagonal().real for rho in states])
+        header = ["state_index"] + [f"p_{b}" for b in kappa.basis]
+        columns = [_column(np.arange(len(states)))]
+        columns += [_column(populations[:, i]) for i in range(kappa.dim)]
         (out / "steady.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
+            _csv_rows(header, columns), encoding="utf-8", newline="\n"
         )
         report["outputs"].append("steady.csv")
         report["count"] = len(states)
-        report["populations"] = [
-            [float(rho[i, i].real) for i in range(kappa.dim)] for rho in states
-        ]
+        report["populations"] = populations.tolist()
     except Exception as exc:  # noqa: BLE001
         report["status"] = "error"
         report["error"] = f"{type(exc).__name__}: {exc}"

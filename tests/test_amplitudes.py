@@ -13,7 +13,6 @@ from spinfoam_oqs.amplitudes import (
     AsymptoticParams,
     BoundaryState,
     DegenerateSteadyStateError,
-    FactorizedProvider,
     Foam2Complex,
     FoamProvider,
     KappaMatrix,
@@ -159,19 +158,6 @@ def test_foam_validation():
 
 
 # --- transition matrices ----------------------------------------------------
-
-def test_factorized_all_ones():
-    W = transition_matrix(FactorizedProvider([1.0, 1.0]), ["1", "2"])
-    assert np.allclose(W.entries, np.ones((2, 2)))
-
-
-def test_factorized_conjugation_structure():
-    w = [1.0 + 0.5j, -0.25 + 1.0j, 0.7]
-    W = transition_matrix(FactorizedProvider(w), ["a", "b", "c"])
-    for n in range(3):
-        for m in range(3):
-            assert W.entries[n, m] == pytest.approx(np.conj(w[n]) * w[m])
-
 
 def test_foam_provider_hermitian_modulus_for_symmetric_bath():
     foam = disconnected_pair_foam()
@@ -488,7 +474,7 @@ def test_kappa_diagonal_W_gives_identity():
 
 def test_kappa_factorized_is_column_independent():
     w = np.array([0.8, 0.3 + 0.2j])
-    W = transition_matrix(FactorizedProvider(w), ["1", "2"])
+    W = TransitionMatrix(("1", "2"), np.outer(w.conj(), w))
     k = kappa_from_W(W, "over_n")
     expected = np.abs(w) ** 2 / np.sum(np.abs(w) ** 2)
     for m in range(2):
@@ -520,6 +506,15 @@ def test_kappa_zero_column_names_state():
 def test_kappa_matrix_rejects_bad_normalization():
     with pytest.raises(ValueError):
         KappaMatrix(("a", "b"), np.array([[0.5, 0.5], [0.4, 0.5]]), "over_n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("convention", ["over_n", "over_m"])
+def test_kappa_matrix_rejects_non_finite_rates(bad, convention):
+    # every comparison with NaN is false, so the range and sum checks alone
+    # would let [[nan, 0], [0, 1]] through
+    with pytest.raises(ValueError, match="non-finite"):
+        KappaMatrix(("a", "b"), np.array([[bad, 0.0], [0.0, 1.0]]), convention)
 
 
 # --- analytic vertex ----------------------------------------------------------

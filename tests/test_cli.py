@@ -85,12 +85,11 @@ def test_defaults_are_echoed_in_report(tmp_path):
     assert report["status"] == "ok"
     echoed = report["config"]
     # defaults the file never mentioned are visible
-    assert echoed["seed"] == 0
     assert echoed["jmax"] == "2"
-    assert echoed["deterministic"] is True
     assert echoed["energy_scale"] == 1.0
+    assert "seed" not in echoed and "deterministic" not in echoed
     on_disk = json.loads((tmp_path / "report.json").read_text())
-    assert on_disk["config"]["seed"] == 0
+    assert on_disk["config"]["jmax"] == "2"
 
 
 def test_explicit_kappa_identity_constant_diagonals(tmp_path):
@@ -221,14 +220,17 @@ def test_cli_seed_and_jmax_overrides(tmp_path):
             "evolve",
             "--config", str(SCENARIOS / "explicit_kappa_identity.json"),
             "--out", str(tmp_path / "o"),
-            "--seed", "99",
             "--jmax", "5/2",
         ]
     )
     assert rc == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["config"]["seed"] == 99
     assert report["config"]["jmax"] == "5/2"
+    # no evolve path reads a seed, so evolve takes none
+    with pytest.raises(SystemExit):
+        main(["evolve", "--config", str(SCENARIOS / "explicit_kappa_identity.json"),
+              "--out", str(tmp_path / "s"), "--seed", "99"])
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_steady_state(tmp_path, capsys):
@@ -306,15 +308,15 @@ def test_main_reuses_its_parser_without_leaking_arguments(tmp_path, monkeypatch)
     monkeypatch.setattr(parser, "parse_args", recording_parse)
     first = str(SCENARIOS / "explicit_kappa_identity.json")
     second = str(SCENARIOS / "two_level_asymptotic.json")
-    rc = main(["evolve", "--config", first, second, "--jobs", "2", "--seed", "7",
+    rc = main(["evolve", "--config", first, second, "--jobs", "2", "--jmax", "5/2",
                "--out", str(tmp_path / "batch")])
     assert rc == 0
     assert main(["evolve", "--config", first, "--out", str(tmp_path / "one")]) == 0
-    assert [(ns.jobs, ns.seed, ns.config) for ns in seen] == [
-        (2, 7, [first, second]), (1, None, [first])
+    assert [(ns.jobs, ns.jmax, ns.config) for ns in seen] == [
+        (2, "5/2", [first, second]), (1, None, [first])
     ]
     report = json.loads((tmp_path / "one" / "report.json").read_text())
-    assert report["config"]["seed"] == 0
+    assert report["config"]["jmax"] == "2"
 
 
 def test_main_reused_parser_gives_the_outputs_of_fresh_parsers(tmp_path):
@@ -385,6 +387,8 @@ def test_cli_two_level_prints_value(capsys):
 
 
 def test_cli_two_level_sweep(tmp_path):
+    from spinfoam_oqs.amplitudes import AsymptoticParams, two_level_rho11
+
     rc = main(
         [
             "two-level", "--lambda1", "1", "--lambda2", "2",
@@ -397,6 +401,24 @@ def test_cli_two_level_sweep(tmp_path):
     header, rows = read_csv(tmp_path / "two_level_sweep.csv")
     assert header == ["lambda1", "lambda2", "rho11"]
     assert len(rows) == 49
+    # every cell is a plain number (not e.g. np.float64(0.5))
+    values = [[float(cell) for cell in row] for row in rows]
+    grid = np.linspace(0.5, 3.0, 7).tolist()
+    assert [row[:2] for row in values] == [[l1, l2] for l1 in grid for l2 in grid]
+    params = AsymptoticParams(
+        gamma_immirzi=1.0, regge_action=1.0, alpha=1.0, n_plus_abs=1.0
+    )
+    assert [row[2] for row in values] == [
+        two_level_rho11(l1, l2, params) for l1, l2, _ in values
+    ]
+
+    out = tmp_path / "small.csv"
+    assert main(["two-level", "--lambda1", "1", "--lambda2", "2",
+                 "--sweep", "1", "2", "2", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "lambda1,lambda2,rho11\n1.0,1.0,0.5\n1.0,2.0,0.058823529411764705\n"
+        "2.0,1.0,0.9411764705882353\n2.0,2.0,0.5\n"
+    )
 
 
 def test_cli_fit_and_sample(tmp_path):
@@ -433,13 +455,16 @@ def test_cli_compare_subcommand(tmp_path):
     assert rc == 0
 
 
-def test_cli_spectral_temperature(tmp_path):
+def test_cli_spectral_temperature(tmp_path, capsys):
+    # from the exported populations alone, the CLI writes the run's own
+    # temperature.csv, so every cell is a plain number
     cfg = ScenarioConfig.from_file(SCENARIOS / "cascade_pr3d.json")
     run_scenario(cfg, tmp_path / "run")
+    trajectory = str(tmp_path / "run" / "trajectory.csv")
     rc = main(
         [
             "spectral-temperature",
-            "--trajectory", str(tmp_path / "run" / "trajectory.csv"),
+            "--trajectory", trajectory,
             "--spins", "0,1,2",
             "--out", str(tmp_path / "temps.csv"),
         ]
@@ -448,6 +473,51 @@ def test_cli_spectral_temperature(tmp_path):
     header, rows = read_csv(tmp_path / "temps.csv")
     assert header == ["step", "inv_kbt", "temperature"]
     assert len(rows) > 100
+    assert len([float(cell) for row in rows for cell in row]) == 3 * len(rows)
+    written = (tmp_path / "temps.csv").read_bytes()
+    assert written == (tmp_path / "run" / "temperature.csv").read_bytes()
+
+    capsys.readouterr()
+    rc = main(["spectral-temperature", "--trajectory", trajectory,
+               "--spins", "0,1", "--out", str(tmp_path / "short.csv")])
+    assert rc == 1
+    assert "3 population columns, got 2 spins" in capsys.readouterr().err
+    assert not (tmp_path / "short.csv").exists()
+
+
+# Every option of every subcommand. A new flag needs an edit here: each one
+# must be read by the command that takes it.
+CLI_SURFACE = {
+    "evolve": {"--config", "--jobs", "--jmax", "--out"},
+    "steady-state": {"--config", "--jmax", "--out"},
+    "two-level": {"--lambda1", "--lambda2", "--alpha-re", "--alpha-im", "--gamma-immirzi",
+                  "--regge-action", "--n-plus-abs", "--sweep", "--out"},
+    "fit": {"--config", "--seed", "--out"},
+    "sample": {"--config", "--n", "--seed", "--out"},
+    "compare": {"series_a", "series_b", "--x-col", "--y-col", "--x-col-b", "--y-col-b",
+                "--normalized-time"},
+    "spectral-temperature": {"--trajectory", "--spins", "--scale", "--out"},
+}
+
+
+def test_cli_surface_is_pinned():
+    import argparse
+
+    from spinfoam_oqs.cli import build_parser
+
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: {
+            option
+            for action in sub._actions if not isinstance(action, argparse._HelpAction)
+            for option in (action.option_strings or [action.dest])
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 def console_script_target(name: str) -> str:

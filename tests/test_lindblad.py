@@ -276,7 +276,7 @@ def _three_level_benchmark(eps: float, steps: int = 15):
 
     U0 = limit_channel(L0)
     slow_step = Superoperator(expm(eps * L1.matrix), "channel")
-    cycle = U0.compose(slow_step)
+    cycle = Superoperator(U0.matrix @ slow_step.matrix, "channel")
     kappa, _gen = adiabatic_eliminate(kraus_from_map(cycle), [0, 1])
 
     traj_eff = evolve_effective(
@@ -644,8 +644,6 @@ def test_evolution_config_validation():
         EvolutionConfig(g=0.0, steps=5)
     with pytest.raises(ValueError):
         EvolutionConfig(g=1.0, steps=-1)
-    with pytest.raises(ValueError):
-        EvolutionConfig(g=1.0, steps=2, kick_times=(1.0, 1.0))
 
 
 def test_evolve_kicked_rejects_bad_schedule():

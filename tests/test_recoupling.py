@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from spinfoam_oqs.recoupling import (
     Spin,
-    SixJKey,
     SpinCapacityError,
     as_spin,
     canonical_six_j_key,
@@ -320,13 +319,6 @@ def test_concurrent_insert_safety():
         t.join()
     baseline = results[0]
     assert all(results[i] == baseline for i in results)
-
-
-def test_six_j_key_from_spins():
-    key = SixJKey.from_spins([Spin(2), Spin(2), Spin(2), Spin(0), Spin(2), Spin(2)])
-    assert key.twice_js == canonical_six_j_key(
-        [Spin(0), Spin(2), Spin(2), Spin(2), Spin(2), Spin(2)]
-    )
 
 
 def test_configure_raises_capacity_then_accepts():
