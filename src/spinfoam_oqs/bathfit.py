@@ -117,6 +117,10 @@ class FitProblem:
     )
 
     def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
         if self.model.n_params < 1:
             raise ValueError("model needs at least one parameter")
         if self.target.dim != len(self.model.basis):
@@ -314,8 +318,102 @@ def chain_target(
     return transition_matrix(provider, list(basis))
 
 
-# Draws per batched cost evaluation; bounds the (chunk, d^2) work arrays.
+# Draws per batch of the sampler; bounds the (chunk, d^2) work arrays of the
+# cost evaluation and the Python ints held while seeding.
 _SAMPLE_CHUNK = 512
+
+# SeedSequence's hash constants and PCG64's LCG multiplier, as NumPy defines
+# them (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h).
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int, n: int) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for each i < n.
+
+    SeedSequence hashes its entropy words with constants that do not depend
+    on the data, so the pools and output words of all n sequences come from
+    the same uint32 array operations.  The entropy is the seed's
+    little-endian 32-bit words followed by i as one word.
+    """
+    if n >= 2**32:
+        raise ValueError(f"n must be below 2**32 (one 32-bit draw index), got {n}")
+    entropy = []
+    while True:
+        entropy.append(np.full(n, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(np.arange(n, dtype=np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # Eight output words cycled from the pool, paired little-endian.
+    out_const, halves = _INIT_B, []
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ out_const
+        out_const = out_const * _MULT_B & _MASK32
+        value = value * out_const
+        halves.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)], axis=1)
+
+
+def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
+    """``state`` and ``inc`` of PCG64 seeded with each row's 64-bit words.
+
+    PCG64 sets ``inc = seq << 1 | 1`` and takes two LCG steps around
+    adding the initial state, with ``state = w0 w1`` and ``seq = w2 w3``.
+    The words become Python ints, so the arithmetic is mod 2**128.
+    """
+    w = words.astype(object)
+    inc = ((w[:, 2] << 64 | w[:, 3]) << 1 | 1) & _MASK128
+    state = (((w[:, 0] << 64 | w[:, 1]) + inc) * _PCG64_MULT + inc) & _MASK128
+    return state.tolist(), inc.tolist()
+
+
+def _draws(seed: int, n: int, n_params: int) -> np.ndarray:
+    """Row i is ``default_rng([seed, i]).exponential(1.0, n_params)``.
+
+    One generator is restarted at each row's derived state instead of
+    building n generators.  States are derived a chunk at a time, which
+    keeps n of their Python ints from being held at once.
+    """
+    words = _seed_words(seed, n)
+    bitgen = np.random.PCG64(0)
+    generator = np.random.Generator(bitgen)
+    restart = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((n, n_params))
+    for lo in range(0, n, _SAMPLE_CHUNK):
+        states, incs = _pcg64_states(words[lo:lo + _SAMPLE_CHUNK])
+        for row, state, inc in zip(draws[lo:lo + _SAMPLE_CHUNK], states, incs):
+            restart["state"] = {"state": state, "inc": inc}
+            bitgen.state = restart
+            generator.standard_exponential(out=row)
+    return draws
 
 
 def _sample_costs(problem: FitProblem, n: int) -> np.ndarray:
@@ -326,10 +424,7 @@ def _sample_costs(problem: FitProblem, n: int) -> np.ndarray:
 
     # One exponential per parameter; normalizing each vertex's half gives
     # a uniform point on that vertex's weight simplex.
-    draws = np.stack([
-        np.random.default_rng([problem.seed, i]).exponential(1.0, problem.model.n_params)
-        for i in range(n)
-    ])
+    draws = _draws(problem.seed, n, problem.model.n_params)
     k = table_in.shape[1]
     theta_in, theta_out = draws[:, :k], draws[:, k:]
     theta_in /= theta_in.sum(axis=1, keepdims=True)
@@ -343,18 +438,24 @@ def _sample_costs(problem: FitProblem, n: int) -> np.ndarray:
         flat = (w_out[:, :, None] * w_in[:, None, :]).reshape(hi - lo, -1)
         norm = np.linalg.norm(flat, axis=1)
         dead = norm == 0
-        unit = flat / np.where(dead, 1.0, norm)[:, None]
-        values[lo:hi] = np.where(dead, 2.0, np.linalg.norm(unit - target_unit, axis=1))
+        # In place, each row becomes its unit vector minus the target's.
+        flat /= np.where(dead, 1.0, norm)[:, None]
+        flat -= target_unit
+        values[lo:hi] = np.where(dead, 2.0, np.linalg.norm(flat, axis=1))
     return values
 
 
 def sample_cost_distribution(problem: FitProblem, n: int) -> CostHistogram:
     """Cost values at random model parameters, binned with width 0.1.
 
-    Each draw derives its own generator from the master seed, so the
-    histogram does not depend on evaluation order and draws may be
-    computed in parallel.  Parameters are drawn uniformly from the
-    per-vertex weight simplexes.
+    Parameters are drawn uniformly from the per-vertex weight simplexes:
+    draw i normalizes each vertex's share of the first n_params
+    exponentials of ``np.random.default_rng([problem.seed, i])``.  The
+    starting states of all n streams are derived in one vectorized pass,
+    without building a generator per draw.  Each draw depends only on the
+    seed and its index, so the first m draws of a run are the draws of an
+    m-draw run.  Raises ``ValueError`` unless 1 <= n < 2**32: the index
+    enters the seed as one 32-bit word.
     """
     if n < 1:
         raise ValueError("need at least one sample")

@@ -1,8 +1,10 @@
 """Command-line scenario runner.
 
 Subcommands: evolve, steady-state, two-level, fit, sample, compare,
-spectral-temperature.  One scenario per process; --jobs parallelizes a
-batch of independent configs.  CSV outputs are comma-separated with a
+spectral-temperature.  ``evolve`` runs a batch of configs one after the
+other.  ``steady-state``, ``fit`` and ``sample`` reject a bad config, seed
+or sample count with ``error: <Type>: <message>`` on stderr and exit
+status 1, before writing any output.  CSV outputs are comma-separated with a
 header row, UTF-8, LF line endings; JSON reports use a stable key order.
 """
 
@@ -35,14 +37,19 @@ def _out_dir(args, config_path: str, batch: bool = False) -> Path:
     return Path(config_path).resolve().parent / (stem + "_out")
 
 
+def _fail(exc: Exception) -> int:
+    """Report a rejected input on stderr; the command's exit status."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_evolve(args) -> int:
     from .scenario import run_scenario
 
-    jobs = max(1, args.jobs)
     batch = len(args.config) > 1
-    tasks = [(path, _out_dir(args, path, batch)) for path in args.config]
-
-    def run_one(path, out):
+    failed = 0
+    for path in args.config:
+        out = _out_dir(args, path, batch)
         try:
             cfg = _load_config(path, args)
         except Exception as exc:  # noqa: BLE001 - bad config is a run failure
@@ -57,20 +64,8 @@ def _cmd_evolve(args) -> int:
                 encoding="utf-8",
                 newline="\n",
             )
-            return path, report
-        return path, run_scenario(cfg, out)
-
-    results = []
-    if jobs == 1 or len(tasks) == 1:
-        for path, out in tasks:
-            results.append(run_one(path, out))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: run_one(*t), tasks))
-    failed = 0
-    for path, report in results:
+        else:
+            report = run_scenario(cfg, out)
         print(f"{path}: {report['status']}"
               + (f" ({report.get('error')})" if report["status"] != "ok" else ""))
         if report["status"] != "ok":
@@ -84,8 +79,7 @@ def _cmd_steady_state(args) -> int:
     try:
         cfg = _load_config(args.config, args)
     except Exception as exc:  # noqa: BLE001 - bad config is a run failure
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     report = steady_state_report(cfg, _out_dir(args, args.config))
     if report["status"] != "ok":
         print(f"error: {report.get('error')}", file=sys.stderr)
@@ -154,7 +148,7 @@ def _fit_problem(args):
 
     with open(args.config, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+    seed = args.seed if args.seed is not None else spec.get("seed", 0)
     basis = _fit_basis(spec, args.config)
     target = chain_target(
         int(spec.get("vertices", 2)),
@@ -168,7 +162,10 @@ def _fit_problem(args):
 def _cmd_fit(args) -> int:
     from .bathfit import fit_bath
 
-    spec, basis, problem = _fit_problem(args)
+    try:
+        spec, basis, problem = _fit_problem(args)
+    except (OSError, ValueError) as exc:  # unreadable or invalid config, bad seed
+        return _fail(exc)
     result = fit_bath(problem)
     out = _out_dir(args, args.config)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,8 +190,11 @@ def _cmd_fit(args) -> int:
 def _cmd_sample(args) -> int:
     from .bathfit import sample_cost_distribution
 
-    _spec, _basis, problem = _fit_problem(args)
-    hist = sample_cost_distribution(problem, args.n)
+    try:
+        _spec, _basis, problem = _fit_problem(args)
+        hist = sample_cost_distribution(problem, args.n)
+    except (OSError, ValueError) as exc:  # unreadable or invalid config, bad seed or n
+        return _fail(exc)
     out = _out_dir(args, args.config)
     out.mkdir(parents=True, exist_ok=True)
     (out / "histogram.csv").write_text(hist.to_csv(), encoding="utf-8", newline="\n")
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="run one or more scenario configs")
     p.add_argument("--config", nargs="+", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
     p.add_argument("--jmax", default=None, help="override spin cutoff (e.g. 2 or 5/2)")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_evolve)

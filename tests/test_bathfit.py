@@ -13,7 +13,10 @@ from spinfoam_oqs.bathfit import (
     CostHistogram,
     FitProblem,
     TwoVertexModel,
+    _draws,
+    _pcg64_states,
     _sample_costs,
+    _seed_words,
     admissible_triple_basis,
     chain_target,
     cost,
@@ -170,8 +173,55 @@ def test_sample_deterministic_and_order_free(basis, model):
     h2 = sample_cost_distribution(problem, 200)
     assert h1.density == h2.density
     # per-draw seeding: the first 100 of a 200-draw run match a 100-draw run
-    h3 = sample_cost_distribution(problem, 100)
-    assert h3.minimum >= h1.minimum - 1e-15
+    first = _sample_costs(problem, 200)[:100]
+    assert first.tobytes() == _sample_costs(problem, 100).tobytes()
+
+
+# Seeds of 1-4 words: 2**32 - 1 fills one word, 2**32 needs two, and
+# 2**64 + 5 and 2**100 + 9 need three and four (a fifth entropy word with
+# the draw index, mixed in after SeedSequence's four-word pool).
+STREAM_SEEDS = [0, 1, 2**20 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 9]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_derived_states_are_the_seed_sequence_states(seed):
+    n = 300
+    words = _seed_words(seed, n)
+    states, incs = _pcg64_states(words)
+    for i in range(n):
+        sequence = np.random.SeedSequence([seed, i])
+        assert words[i].tolist() == sequence.generate_state(4, np.uint64).tolist()
+        reference = np.random.PCG64(sequence).state["state"]
+        assert reference == {"state": states[i], "inc": incs[i]}
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+@pytest.mark.parametrize("seed, n_params", [(11, 18), (2**64 + 5, 7)])
+def test_draws_are_the_per_draw_streams(seed, n, n_params):
+    reference = np.stack([
+        np.random.default_rng([seed, i]).exponential(1.0, n_params) for i in range(n)
+    ])
+    assert _draws(seed, n, n_params).tobytes() == reference.tobytes()
+
+
+def test_draw_index_must_fit_one_word(basis, model):
+    # Rejected before any array of n draws is allocated.
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        _seed_words(0, 2**32)
+    problem = FitProblem(chain_target(2, basis), model, seed=0)
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        sample_cost_distribution(problem, 2**32)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+def test_fit_problem_rejects_bad_seed(basis, model, seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        FitProblem(chain_target(2, basis), model, seed=seed)
+
+
+def test_fit_problem_takes_numpy_integer_seed(basis, model):
+    problem = FitProblem(chain_target(2, basis), model, seed=np.int64(2**40))
+    assert type(problem.seed) is int and problem.seed == 2**40
 
 
 def test_histogram_csv_format(basis, model):

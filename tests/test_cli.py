@@ -198,20 +198,21 @@ def test_cli_evolve_exit_codes(tmp_path):
     assert rc_bad == 1
 
 
-def test_cli_jobs_batch(tmp_path):
-    rc = main(
-        [
-            "evolve",
-            "--config",
-            str(SCENARIOS / "explicit_kappa_identity.json"),
-            str(SCENARIOS / "two_level_asymptotic.json"),
-            "--jobs", "2",
-            "--out", str(tmp_path),
-        ]
-    )
+def test_cli_jobs_batch(tmp_path, capsys):
+    configs = [
+        str(SCENARIOS / "explicit_kappa_identity.json"),
+        str(SCENARIOS / "two_level_asymptotic.json"),
+    ]
+    rc = main(["evolve", "--config", *configs, "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "explicit_kappa_identity" / "report.json").exists()
     assert (tmp_path / "two_level_asymptotic" / "report.json").exists()
+    # a batch runs its configs one after the other, in the order given
+    assert capsys.readouterr().out.splitlines() == [f"{path}: ok" for path in configs]
+    # evolve takes no --jobs: a batch is not run in parallel
+    with pytest.raises(SystemExit):
+        main(["evolve", "--config", *configs, "--jobs", "2", "--out", str(tmp_path / "j")])
+    assert not (tmp_path / "j").exists()
 
 
 def test_cli_seed_and_jmax_overrides(tmp_path):
@@ -308,12 +309,12 @@ def test_main_reuses_its_parser_without_leaking_arguments(tmp_path, monkeypatch)
     monkeypatch.setattr(parser, "parse_args", recording_parse)
     first = str(SCENARIOS / "explicit_kappa_identity.json")
     second = str(SCENARIOS / "two_level_asymptotic.json")
-    rc = main(["evolve", "--config", first, second, "--jobs", "2", "--jmax", "5/2",
+    rc = main(["evolve", "--config", first, second, "--jmax", "5/2",
                "--out", str(tmp_path / "batch")])
     assert rc == 0
     assert main(["evolve", "--config", first, "--out", str(tmp_path / "one")]) == 0
-    assert [(ns.jobs, ns.jmax, ns.config) for ns in seen] == [
-        (2, "5/2", [first, second]), (1, None, [first])
+    assert [(ns.jmax, ns.config) for ns in seen] == [
+        ("5/2", [first, second]), (None, [first])
     ]
     report = json.loads((tmp_path / "one" / "report.json").read_text())
     assert report["config"]["jmax"] == "2"
@@ -443,6 +444,58 @@ def test_cli_fit_and_sample(tmp_path):
     assert len(rows) == 20
 
 
+def _fit_config(tmp_path, **changes):
+    spec = {"vertices": 2, "dim": 6, "seed": 3, "basis_seed": 0,
+            "internal_max": "2", "j_max": "5/2", **changes}
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(spec))
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["fit", "sample"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing", r"FileNotFoundError: .*no_such\.json"),
+        ("directory", "IsADirectoryError: "),
+        ("not_json", "JSONDecodeError: "),
+        ("seed_flag", "ValueError: seed must be a non-negative integer, got -1"),
+        ("seed_config", "ValueError: seed must be a non-negative integer, got 1.5"),
+    ],
+)
+def test_cli_fit_and_sample_reject_bad_input_before_any_output(
+    tmp_path, capsys, command, case, message
+):
+    args = []
+    if case == "missing":
+        cfg = tmp_path / "no_such.json"
+    elif case == "directory":
+        cfg = tmp_path / "configs"
+        cfg.mkdir()
+    elif case == "not_json":
+        cfg = tmp_path / "fit.json"
+        cfg.write_text("{vertices: 2")
+    elif case == "seed_flag":
+        cfg, args = _fit_config(tmp_path), ["--seed", "-1"]
+    else:
+        cfg = _fit_config(tmp_path, seed=1.5)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *args]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"error: {message}.*\n", captured.err, flags=re.S)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_sample_rejects_empty_sample_before_any_output(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    rc = main(["sample", "--config", str(_fit_config(tmp_path)), "--n", n, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ValueError: need at least one sample\n"
+    assert not out.exists()
+
+
 def test_cli_compare_subcommand(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -488,7 +541,7 @@ def test_cli_spectral_temperature(tmp_path, capsys):
 # Every option of every subcommand. A new flag needs an edit here: each one
 # must be read by the command that takes it.
 CLI_SURFACE = {
-    "evolve": {"--config", "--jobs", "--jmax", "--out"},
+    "evolve": {"--config", "--jmax", "--out"},
     "steady-state": {"--config", "--jmax", "--out"},
     "two-level": {"--lambda1", "--lambda2", "--alpha-re", "--alpha-im", "--gamma-immirzi",
                   "--regge-action", "--n-plus-abs", "--sweep", "--out"},
