@@ -6,12 +6,11 @@ scipy's scaling-and-squaring Pade implementation.  Evolutions validate
 the CPTP invariants of every state they return; eigenvalues in (-1e-10, 0)
 are clamped to zero with renormalization and the clamp count is reported
 on the trajectory.  A trajectory is one (steps + 1, d, d) array.
-``evolve_effective`` steps a block of states, then checks Hermiticity,
-trace and positivity for the whole block at once, taking each state's
-smallest eigenvalue from one batched ``eigvalsh``.  The clamp decision is
-unchanged: every state whose batched smallest eigenvalue falls below a
-round-off guard goes through ``clamp_density_matrix`` and its own
-``eigh``, and the evolution restarts only from a state a clamp changed.
+Each state's smallest eigenvalue comes from one place,
+``block_min_eigenvalues``, which works per block of the coherence
+support; ``evolve_effective`` decides positivity with it and
+``Trajectory.min_eigenvalues`` reports it.  A clamp changes the stored
+state, never the state the next step starts from.
 
 The effective generator sum kappa[n,m] D_{|n><m|} is purely incoherent: it
 is a classical (Pauli) rate equation on the populations, and every
@@ -42,10 +41,6 @@ POSITIVITY_TOL = 1e-10
 KRAUS_COMPLETENESS_TOL = 1e-10
 CHOI_NEGATIVITY_TOL = 1e-8
 KRAUS_KEEP_TOL = 1e-12
-# A state whose batched eigvalsh minimum is at least this large is left
-# unclamped without its own eigh: eigvalsh and eigh agree on a density
-# matrix to within ~1e-15.
-CLAMP_GUARD = 1e-14
 
 
 class InvariantViolation(ValueError):
@@ -228,6 +223,32 @@ def clamp_density_matrix(rho: np.ndarray, context: str = "state") -> tuple[np.nd
     return rho, clamped
 
 
+def block_min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix in an (n, d, d) stack.
+
+    The matrices are block-diagonal over the connected components of the
+    stack's nonzero off-diagonal pattern: the closed classes of that
+    pattern, symmetrized.  Each component size takes one batched
+    ``eigvalsh``; a singleton's eigenvalue is its diagonal entry, exactly.
+    """
+    n, d = stack.shape[:2]
+    coupled = np.any(stack != 0, axis=0)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for members in _closed_classes(coupled | coupled.T):
+        by_size.setdefault(len(members), []).append(members)
+    lows = np.full(n, np.inf)
+    for size, components in by_size.items():
+        idx = np.array(components)
+        if size == 1:
+            vals = stack[:, idx, idx].real
+        elif size == d:
+            vals = np.linalg.eigvalsh(stack)[:, None]
+        else:
+            vals = np.linalg.eigvalsh(stack[:, idx[:, :, None], idx[:, None, :]])
+        lows = np.minimum(lows, vals.min(axis=(1, 2)))
+    return lows
+
+
 def pure_state(dim: int, index: int) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[index, index] = 1.0
@@ -287,7 +308,7 @@ class Trajectory:
         return np.trace(self.states, axis1=1, axis2=2).real
 
     def min_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(hermitian_part(self.states)).min(axis=1)
+        return block_min_eigenvalues(hermitian_part(self.states))
 
 
 def evolve_continuous(L: Superoperator, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -633,44 +654,9 @@ class EvolutionConfig:
             raise ValueError("steps must be non-negative")
 
 
-# Blocks shorter than this send every state through clamp_density_matrix:
-# after a clamp the next block is short, and on a trajectory that clamps
-# every few steps the batched calls of many one- or two-state blocks cost
-# more than they save.  On seed-0 relax_wide case b2-6, which clamps on 41
-# of 90 steps, checking every block in batch made evolution and export
-# about 30% slower than checking each step; with this cut they are not.
-# The longest block bounds the check's temporary arrays.
-_MIN_BLOCK = 8
-_MAX_BLOCK = 256
-
-
-def _step_block(state, pop_step, mask, n: int) -> np.ndarray:
-    """The n raw (unsymmetrized) states that follow ``state``."""
-    block = np.empty((n,) + state.shape, dtype=complex)
-    for k in range(n):
-        populations = pop_step @ state.diagonal()
-        state = np.multiply(mask, state, out=block[k])
-        np.fill_diagonal(state, populations)
-    return block
-
-
-def _unsettled(raw: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """Indices of the states in a block that need their own clamp check.
-
-    ``sym`` holds the Hermitian parts of the raw states.  A state needs it
-    when it fails the Hermiticity or trace check, or when its smallest
-    eigenvalue, from one batched ``eigvalsh``, is below ``CLAMP_GUARD``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        herm = np.abs(raw - np.swapaxes(raw, 1, 2).conj()).max(axis=(1, 2))
-        trace_defect = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
-    valid = (herm <= HERMITICITY_TOL) & (trace_defect <= TRACE_TOL)
-    # clamp_density_matrix raises at the first invalid state, so the states
-    # after it (possibly not finite) need no eigenvalues.
-    first_invalid = len(raw) if valid.all() else int(valid.argmin())
-    lows = np.full(len(raw), -np.inf)
-    lows[:first_invalid] = np.linalg.eigvalsh(sym[:first_invalid]).min(axis=1)
-    return np.flatnonzero(~(valid & (lows >= CLAMP_GUARD)))
+# States are stepped and checked this many at a time; the block bounds the
+# check's temporary arrays.
+_BLOCK = 256
 
 
 def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajectory:
@@ -682,15 +668,14 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
     population rate matrix, and each off-diagonal entry rho_ab is scaled
     by exp(-g (Gamma_a + Gamma_b) / 2).  Both are computed once and reused.
 
-    States are stepped and checked a block at a time.  A state that fails
-    a batched check, or whose smallest eigenvalue is below ``CLAMP_GUARD``,
-    goes through ``clamp_density_matrix``, which raises or clamps exactly
-    as a per-step check would; in blocks shorter than ``_MIN_BLOCK``
-    every state does.  The raw state feeds the next step unless a
-    clamp changed it; then the block is cut there and the next one starts
-    from the clamped state, as long as the stretch just accepted, so
-    frequent clamps waste few steps.  Clean blocks double the next block's
-    length, up to ``_MAX_BLOCK``.
+    The map never creates coherence, so every state is block-diagonal over
+    the connected components of rho0's off-diagonal support.  States are
+    stepped ``_BLOCK`` at a time and checked in one batch: Hermiticity,
+    trace, and each state's smallest eigenvalue from
+    ``block_min_eigenvalues``.  A state that fails a check or has a
+    negative eigenvalue goes through ``clamp_density_matrix``, which raises
+    or clamps.  The raw (unsymmetrized) state always feeds the next step; a
+    clamp changes only the stored state and the clamp count.
     """
     pop, decay = _rates(kappa)
     if np.shape(rho0) != pop.shape:
@@ -703,25 +688,31 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
     states = np.empty((cfg.steps + 1,) + pop.shape, dtype=complex)
     states[0] = rho0
     clamp_total = 0
-    state, done, chunk = states[0], 0, cfg.steps
-    while done < cfg.steps:
-        n = min(chunk, _MAX_BLOCK, cfg.steps - done)
+    state = states[0]
+    for start in range(1, cfg.steps + 1, _BLOCK):
+        raw = np.empty((min(_BLOCK, cfg.steps + 1 - start),) + pop.shape, dtype=complex)
         # A rate table with negative entries can make the states after the
         # first invalid one overflow; the per-step path never computed
         # them, so their warnings are not shown.
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = _step_block(state, pop_step, mask, n)
+            for k in range(len(raw)):
+                populations = pop_step @ state.diagonal()
+                state = np.multiply(mask, state, out=raw[k])
+                np.fill_diagonal(state, populations)
             sym = hermitian_part(raw)
-        states[done + 1 : done + 1 + n] = sym
-        for k in range(n) if n < _MIN_BLOCK else _unsettled(raw, sym):
-            rho, clamped = clamp_density_matrix(raw[k], f"step {done + k + 1}")
-            if clamped:
-                clamp_total += clamped
-                states[done + k + 1] = rho
-                done, chunk, state = done + k + 1, k + 1, rho
-                break
-        else:
-            done, chunk, state = done + n, 2 * n, raw[-1]
+            herm = np.abs(raw - np.swapaxes(raw, 1, 2).conj()).max(axis=(1, 2))
+            trace_defect = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
+        states[start : start + len(raw)] = sym
+        valid = (herm <= HERMITICITY_TOL) & (trace_defect <= TRACE_TOL)
+        # clamp_density_matrix raises at the first invalid state, so the
+        # states after it (possibly not finite) need no eigenvalues.
+        checked = len(raw) if valid.all() else int(valid.argmin())
+        lows = np.full(len(raw), -np.inf)
+        lows[:checked] = block_min_eigenvalues(sym[:checked])
+        for k in np.flatnonzero(lows < 0):
+            rho, clamped = clamp_density_matrix(raw[k], f"step {start + k}")
+            clamp_total += clamped
+            states[start + k] = rho
     return Trajectory(states, g=cfg.g, clamped=clamp_total)
 
 
