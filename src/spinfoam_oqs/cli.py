@@ -127,6 +127,14 @@ def _write_csv(out, default_name: str, text: str) -> int:
     return 0
 
 
+def _int_field(spec: dict, key: str, default: int) -> int:
+    """A fit config's integer field; a bool or a float is rejected, not cast."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _fit_basis(spec, config_path: str):
     """Basis triples: from a textual network file or sampled randomly."""
     from .bathfit import admissible_triple_basis, basis_from_network_file
@@ -135,10 +143,10 @@ def _fit_basis(spec, config_path: str):
         path = Path(config_path).resolve().parent / spec["basis_file"]
         return basis_from_network_file(path)
     return admissible_triple_basis(
-        int(spec.get("dim", 10)),
+        _int_field(spec, "dim", 10),
         spec.get("j_min", "1/2"),
         spec.get("j_max", "5/2"),
-        seed=int(spec.get("basis_seed", 0)),
+        seed=_int_field(spec, "basis_seed", 0),
     )
 
 
@@ -148,10 +156,12 @@ def _fit_problem(args):
 
     with open(args.config, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"a fit config must be a JSON object, got {type(spec).__name__}")
     seed = args.seed if args.seed is not None else spec.get("seed", 0)
     basis = _fit_basis(spec, args.config)
     target = chain_target(
-        int(spec.get("vertices", 2)),
+        _int_field(spec, "vertices", 2),
         basis,
         internal_max=spec.get("internal_max", "2"),
         j_max=spec.get("j_max", "5/2"),
@@ -175,7 +185,7 @@ def _cmd_fit(args) -> int:
         "evaluations": result.evaluations,
         "seed": result.seed,
         "status": result.status,
-        "vertices": int(spec.get("vertices", 2)),
+        "vertices": spec.get("vertices", 2),
         "dim": len(basis),
     }
     (out / "fit_report.json").write_text(

@@ -344,23 +344,49 @@ def _nelder_mead_reference(problem, restarts=2, max_evals=2000):
     return best
 
 
-def _per_draw_costs(problem, n):
-    """The per-draw sampling loop the batched sampler replaced."""
-    table_in, table_out = problem.tables
-    k = table_in.shape[1]
-    target_flat = problem.target.flatten()
-    target_unit = target_flat / np.linalg.norm(target_flat)
-    values = np.empty(n)
+def _per_draw_weights(problem, n):
+    """Each draw's in- and out-vertex weights, from one generator per draw."""
+    k = problem.tables[0].shape[1]
     for i in range(n):
         rng = np.random.default_rng([problem.seed, i])
         draws = rng.exponential(1.0, k)
         theta_in = draws / draws.sum()
         draws = rng.exponential(1.0, problem.model.n_params - k)
-        theta_out = draws / draws.sum()
+        yield theta_in, draws / draws.sum()
+
+
+def _per_draw_costs(problem, n):
+    """The per-draw sampling loop the batched sampler replaced."""
+    table_in, table_out = problem.tables
+    target_flat = problem.target.flatten()
+    target_unit = target_flat / np.linalg.norm(target_flat)
+    values = np.empty(n)
+    for i, (theta_in, theta_out) in enumerate(_per_draw_weights(problem, n)):
         flat = np.outer(table_out @ theta_out, table_in @ theta_in).reshape(-1)
         norm = np.linalg.norm(flat)
         values[i] = 2.0 if norm == 0 else float(np.linalg.norm(flat / norm - target_unit))
     return values
+
+
+def _summation_condition(problem, n):
+    """Per draw, the condition number of its weighted sums sum_j theta_j t_ij.
+
+    The larger over both vertices of || sum_j |theta_j t_ij| || over
+    || sum_j theta_j t_ij ||: rounding in a sum is bounded by a multiple of
+    the sum of its terms' magnitudes, so cancelling sums can differ by that
+    many more ulps between two summation orders.  A sum that cancels to
+    exactly zero has no bound.
+    """
+    table_in, table_out = problem.tables
+    cond = np.empty(n)
+    for i, weights in enumerate(_per_draw_weights(problem, n)):
+        ratios = []
+        for table, theta in zip((table_in, table_out), weights):
+            magnitude = np.linalg.norm(np.abs(table) @ theta)
+            value = np.linalg.norm(table @ theta)
+            ratios.append(1.0 if magnitude == 0 else magnitude / value if value else math.inf)
+        cond[i] = max(ratios)
+    return cond
 
 
 @st.composite
@@ -452,18 +478,22 @@ def _pinned_problem(seed, table_in, table_out):
 
 # Each cost is the distance between two unit vectors whose components are
 # rounded at the scale of 1, so the two summation orders may differ by a
-# few ulps of 1 even where the cost itself is small.  At these two draws
-# they are 5 ulps apart (1.1e-15 near 1.42 and 1.54, draws 941 and 823),
-# which an absolute 1e-15 rejected.
+# few ulps of 1 even where the cost itself is small.  At the first two
+# draws they are 5 ulps apart (1.1e-15 near 1.42 and 1.54, draws 941 and
+# 823), which an absolute 1e-15 rejected.  Where the weighted sums cancel,
+# the orders differ by more: the third reaches 8.5 ulps at draw 580, whose
+# out-vertex sum cancels, so the bound of 8 ulps scales with each draw's
+# summation condition number.
 @example(_pinned_problem(266, [[0, 0, 0, 1], [0, 0, 0, 0]], [[1, 1, -2, 0], [0, 1, 0, 0]]))
 @example(_pinned_problem(1, [[1]], [[-1j, 1j, 0, 1 + 1j]]))
+@example(_pinned_problem(0, [[-1, -1, 0, 0]], [[-1 - 1j, -1 - 1j, -2 + 2j, 2 + 2j]]))
 @given(_table_problem())
 @settings(max_examples=8, deadline=None)
 def test_batched_sampling_matches_per_draw_loop(problem):
     for n in (1, 511, 512, 513, 1025):
         reference = _per_draw_costs(problem, n)
         ulps = np.abs(_sample_costs(problem, n) - reference) / np.spacing(np.maximum(reference, 1.0))
-        assert ulps.max() <= 8
+        assert np.all(ulps <= 8 * _summation_condition(problem, n))
         hist = sample_cost_distribution(problem, n)
         edges = np.round(np.arange(0.0, 2.1, 0.1), 10)
         assert hist.counts == tuple(int(c) for c in np.histogram(reference, bins=edges)[0])

@@ -461,6 +461,10 @@ def _fit_config(tmp_path, **changes):
         ("not_json", "JSONDecodeError: "),
         ("seed_flag", "ValueError: seed must be a non-negative integer, got -1"),
         ("seed_config", "ValueError: seed must be a non-negative integer, got 1.5"),
+        ("vertices", "ValueError: vertices must be an integer, got 2.7"),
+        ("dim", "ValueError: dim must be an integer, got True"),
+        ("basis_seed", "ValueError: basis_seed must be an integer, got '0'"),
+        ("not_object", "ValueError: a fit config must be a JSON object, got list"),
     ],
 )
 def test_cli_fit_and_sample_reject_bad_input_before_any_output(
@@ -477,8 +481,13 @@ def test_cli_fit_and_sample_reject_bad_input_before_any_output(
         cfg.write_text("{vertices: 2")
     elif case == "seed_flag":
         cfg, args = _fit_config(tmp_path), ["--seed", "-1"]
-    else:
+    elif case == "seed_config":
         cfg = _fit_config(tmp_path, seed=1.5)
+    elif case == "not_object":
+        cfg = tmp_path / "fit.json"
+        cfg.write_text("[2, 6]")
+    else:
+        cfg = _fit_config(tmp_path, **{case: {"vertices": 2.7, "dim": True, "basis_seed": "0"}[case]})
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), *args]) == 1
     captured = capsys.readouterr()
