@@ -224,12 +224,13 @@ def clamp_density_matrix(rho: np.ndarray, context: str = "state") -> tuple[np.nd
 
 
 def block_min_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix in an (n, d, d) stack.
+    """Smallest eigenvalue of the Hermitian part of each matrix in a stack.
 
-    The matrices are block-diagonal over the connected components of the
-    stack's nonzero off-diagonal pattern: the closed classes of that
-    pattern, symmetrized.  Each component size takes one batched
-    ``eigvalsh``; a singleton's eigenvalue is its diagonal entry, exactly.
+    The matrices of the (n, d, d) stack are block-diagonal over the
+    connected components of its nonzero off-diagonal pattern: the closed
+    classes of that pattern, symmetrized.  Each component size takes one
+    batched ``eigvalsh`` of the blocks' Hermitian parts; a singleton's
+    eigenvalue is the real part of its diagonal entry, exactly.
     """
     n, d = stack.shape[:2]
     coupled = np.any(stack != 0, axis=0)
@@ -242,9 +243,10 @@ def block_min_eigenvalues(stack: np.ndarray) -> np.ndarray:
         if size == 1:
             vals = stack[:, idx, idx].real
         elif size == d:
-            vals = np.linalg.eigvalsh(stack)[:, None]
+            vals = np.linalg.eigvalsh(hermitian_part(stack))[:, None]
         else:
-            vals = np.linalg.eigvalsh(stack[:, idx[:, :, None], idx[:, None, :]])
+            blocks = stack[:, idx[:, :, None], idx[:, None, :]]
+            vals = np.linalg.eigvalsh(hermitian_part(blocks))
         lows = np.minimum(lows, vals.min(axis=(1, 2)))
     return lows
 
@@ -308,7 +310,7 @@ class Trajectory:
         return np.trace(self.states, axis1=1, axis2=2).real
 
     def min_eigenvalues(self) -> np.ndarray:
-        return block_min_eigenvalues(hermitian_part(self.states))
+        return block_min_eigenvalues(self.states)
 
 
 def evolve_continuous(L: Superoperator, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -708,7 +710,7 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
         # states after it (possibly not finite) need no eigenvalues.
         checked = len(raw) if valid.all() else int(valid.argmin())
         lows = np.full(len(raw), -np.inf)
-        lows[:checked] = block_min_eigenvalues(sym[:checked])
+        lows[:checked] = block_min_eigenvalues(raw[:checked])
         for k in np.flatnonzero(lows < 0):
             rho, clamped = clamp_density_matrix(raw[k], f"step {start + k}")
             clamp_total += clamped

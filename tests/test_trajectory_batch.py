@@ -32,6 +32,7 @@ from spinfoam_oqs.lindblad import (
     block_min_eigenvalues,
     clamp_density_matrix,
     evolve_effective,
+    hermitian_part,
     pure_state,
     state_from_amplitudes,
     validate_density_matrix,
@@ -89,8 +90,8 @@ def assert_matches_reference(traj, states, clamps):
     """
     clean = clamps == 0
     assert np.array_equal(traj.states[clean], states[clean])
-    unclamped = traj.states[~clean]
-    unit = unclamped / np.trace(unclamped, axis1=1, axis2=2).real[:, None, None]
+    ours = traj.states[~clean]
+    unit = ours / np.trace(ours, axis1=1, axis2=2).real[:, None, None]
     assert np.abs(unit - states[~clean]).max(initial=0.0) <= 1e-14
     assert traj.clamped <= clamps.sum()
 
@@ -159,8 +160,8 @@ def test_clamping_fixture_matches_per_step_reference():
 def test_start_in_one_closed_class_never_reaches_the_other(tmp_path):
     # b2-6 starts in the closed class {0, 3, 5, 7}; no jump leads to the
     # class {1, 2, 4, 6}, so its populations stay exactly zero.  A clamp
-    # through a full eigh, fed back into the evolution, used to leak about
-    # 4.5e-17 into them, which gave 25 temperature rows.
+    # through a full eigh, fed back into the evolution, would leak about
+    # 4.5e-17 into them and give 25 temperature rows.
     cfg, kappa, g, steps, rho0 = _fixture_run()
     traj = evolve_effective(kappa, EvolutionConfig(g=g, steps=steps), rho0)
     assert np.all(traj.populations()[:, [1, 2, 4, 6]] == 0.0)
@@ -257,17 +258,19 @@ def test_blow_up_raises_at_its_step_without_warnings():
 
 @st.composite
 def block_stacks(draw):
-    """Hermitian stacks, block-diagonal over a random partition of the levels.
+    """Stacks block-diagonal over a random partition of the levels.
 
-    Each block is a singleton, an all-zero level, a 2x2 rank-1 block or a
-    dense block (positive or indefinite); each state is scaled to entries
-    of at most 1.
+    The Hermitian part of each block is a singleton, an all-zero level, a
+    2x2 rank-1 block or a dense block (positive or indefinite); some stacks
+    add an anti-Hermitian part.  Each state is scaled to entries of at
+    most 1.
     """
     d = draw(st.integers(1, 10))
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = rng.permutation(d)
     stack = np.zeros((n, d, d), dtype=complex)
+    skew = draw(st.booleans())
     at = 0
     while at < d:
         kind = draw(st.sampled_from(["singleton", "zero", "rank1", "dense"]))
@@ -281,7 +284,11 @@ def block_stacks(draw):
         for state in stack:
             a = rng.normal(size=(len(members), rank)) + 1j * rng.normal(size=(len(members), rank))
             block = a @ a.conj().T if kind != "singleton" else rng.normal(size=(1, 1))
-            state[np.ix_(members, members)] = block - shift * np.trace(block).real * np.eye(len(members))
+            block = block - shift * np.trace(block).real * np.eye(len(members))
+            if skew:
+                b = rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape)
+                block = block + (b - b.conj().T) / 2
+            state[np.ix_(members, members)] = block
     scale = np.abs(stack).max(axis=(1, 2), keepdims=True)
     return stack / np.where(scale > 0, scale, 1.0)
 
@@ -289,7 +296,7 @@ def block_stacks(draw):
 @given(block_stacks())
 @settings(max_examples=200, deadline=None)
 def test_block_min_eigenvalues_match_full_eigvalsh(stack):
-    full = np.linalg.eigvalsh(stack).min(axis=1)
+    full = np.linalg.eigvalsh(hermitian_part(stack)).min(axis=1)
     assert np.abs(block_min_eigenvalues(stack) - full).max() <= 1e-14
 
 
