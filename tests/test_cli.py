@@ -664,3 +664,11 @@ def test_cli_invalid_config_writes_error_report(tmp_path):
     assert rc == 1
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["status"] == "error"
+    # the exact bytes: sorted keys, 2-space indent, LF, one trailing newline
+    assert (tmp_path / "run" / "report.json").read_bytes() == (
+        "{\n"
+        f'  "config_path": {json.dumps(str(bad))},\n'
+        '  "error": "ScenarioError: scenario needs an evolution block",\n'
+        '  "status": "error"\n'
+        "}\n"
+    ).encode("utf-8")
