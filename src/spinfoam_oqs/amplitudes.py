@@ -310,12 +310,6 @@ class TiedGaussianBath:
     def links(self) -> frozenset[int]:
         return frozenset(self.in_links + self.out_links)
 
-    def state(self, n_label, m_label) -> BoundaryState:
-        """The bath of the single entry W[n, m]."""
-        centers = {l: as_spin(m_label) for l in self.in_links}
-        centers.update({l: as_spin(n_label) for l in self.out_links})
-        return BoundaryState.gaussian(centers)
-
     def tables(self, labels, grid: Sequence[Spin]) -> dict[int, tuple[int, np.ndarray]]:
         """Per link: (open axis, weight table with one row per label over grid).
 
@@ -592,17 +586,6 @@ class TransitionMatrix:
     def flatten(self) -> np.ndarray:
         return self.entries.reshape(-1)
 
-    def to_csv(self) -> str:
-        header = "out\\in," + ",".join(self.basis)
-        rows = [header]
-        for n, lab in enumerate(self.basis):
-            cells = [
-                f"{float(self.entries[n, m].real)!r}{float(self.entries[n, m].imag):+}j".replace("+-", "-")
-                for m in range(self.dim)
-            ]
-            rows.append(lab + "," + ",".join(cells))
-        return "\n".join(rows) + "\n"
-
 
 @dataclass(frozen=True)
 class KappaMatrix:
@@ -637,23 +620,13 @@ class KappaMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
-    def to_csv(self) -> str:
-        header = "out\\in," + ",".join(self.basis)
-        rows = [header]
-        for n, lab in enumerate(self.basis):
-            rows.append(
-                lab + "," + ",".join(repr(float(x)) for x in self.entries[n])
-            )
-        return "\n".join(rows) + "\n"
-
 
 class FoamProvider:
     """Pins in/out slots of a foam boundary and weights the rest by a bath.
 
     ``bath`` is a BoundaryState over the non-pinned boundary links, or a
     TiedGaussianBath whose link weights follow the pinned labels.  Either
-    way ``matrix`` fills all of W with one contraction per bath term;
-    ``amplitude`` contracts a single entry.
+    way ``matrix`` fills all of W with one contraction per bath term.
     """
 
     def __init__(
@@ -674,22 +647,6 @@ class FoamProvider:
         self.out_links = tuple(out_links)
         self.bath = bath
         self.j_max = as_spin(j_max)
-
-    def amplitude(self, n: int, m: int, labels) -> complex:
-        n_label, m_label = labels[n], labels[m]
-        pins = dict(
-            zip(self.in_links, label_spins(m_label, len(self.in_links)))
-        )
-        pins.update(
-            zip(self.out_links, label_spins(n_label, len(self.out_links)))
-        )
-        state = BoundaryState.delta(pins)
-        bath = self.bath
-        if isinstance(bath, TiedGaussianBath):
-            bath = bath.state(n_label, m_label)
-        if bath is not None:
-            state = state.merged(bath)
-        return pr_transition(self.foam, state, self.j_max)
 
     def matrix(self, labels) -> np.ndarray:
         """All of W, one contraction per bath term.

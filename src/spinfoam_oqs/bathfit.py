@@ -210,12 +210,6 @@ class CostHistogram:
 
     BIN_WIDTH = 0.1
 
-    def to_csv(self) -> str:
-        rows = ["bin_left,density"]
-        for left, dens in zip(self.bin_left, self.density):
-            rows.append(f"{left!r},{dens!r}")
-        return "\n".join(rows) + "\n"
-
 
 # Bath triples covering every link-parity pattern, with pair sums large
 # enough to keep the triangle rules satisfiable against labels up to 5/2.

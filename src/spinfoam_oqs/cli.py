@@ -2,10 +2,12 @@
 
 Subcommands: evolve, steady-state, two-level, fit, sample, compare,
 spectral-temperature.  ``evolve`` runs a batch of configs one after the
-other.  ``steady-state``, ``fit`` and ``sample`` reject a bad config, seed
-or sample count with ``error: <Type>: <message>`` on stderr and exit
-status 1, before writing any output.  CSV outputs are comma-separated with a
-header row, UTF-8, LF line endings; JSON reports use a stable key order.
+other and records a bad config in the run's report.json.  Every other
+command rejects bad input (an unreadable or invalid file, a missing
+column, a bad seed, count or sweep) with ``error: <Type>: <message>`` on
+stderr and exit status 1, before writing any output.  Every file is
+written by ``scenario.write_output``: CSV with a header row, UTF-8, LF line
+endings; JSON with a stable key order.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _fail(exc: Exception) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    from .scenario import run_scenario
+    from .scenario import run_scenario, write_output
 
     batch = len(args.config) > 1
     failed = 0
@@ -53,17 +55,12 @@ def _cmd_evolve(args) -> int:
         try:
             cfg = _load_config(path, args)
         except Exception as exc:  # noqa: BLE001 - bad config is a run failure
-            out.mkdir(parents=True, exist_ok=True)
             report = {
                 "status": "error",
                 "error": f"{type(exc).__name__}: {exc}",
                 "config_path": str(path),
             }
-            (out / "report.json").write_text(
-                json.dumps(report, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-                newline="\n",
-            )
+            write_output(out / "report.json", report)
         else:
             report = run_scenario(cfg, out)
         print(f"{path}: {report['status']}"
@@ -118,11 +115,12 @@ def _cmd_two_level(args) -> int:
 
 def _write_csv(out, default_name: str, text: str) -> int:
     """Write ``text`` to ``out`` (into it when it is a directory)."""
+    from .scenario import write_output
+
     out = Path(out or default_name)
     if out.is_dir():
         out = out / default_name
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8", newline="\n")
+    write_output(out, text)
     print(f"wrote {out}")
     return 0
 
@@ -171,14 +169,10 @@ def _fit_problem(args):
 
 def _cmd_fit(args) -> int:
     from .bathfit import fit_bath
+    from .scenario import write_output
 
-    try:
-        spec, basis, problem = _fit_problem(args)
-    except (OSError, ValueError) as exc:  # unreadable or invalid config, bad seed
-        return _fail(exc)
+    spec, basis, problem = _fit_problem(args)
     result = fit_bath(problem)
-    out = _out_dir(args, args.config)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "params": [float(x) for x in result.params],
         "cost": result.cost,
@@ -188,56 +182,55 @@ def _cmd_fit(args) -> int:
         "vertices": spec.get("vertices", 2),
         "dim": len(basis),
     }
-    (out / "fit_report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    write_output(_out_dir(args, args.config) / "fit_report.json", payload)
     print(f"C = {result.cost!r} after {result.evaluations} evaluations ({result.status})")
     return 0
 
 
 def _cmd_sample(args) -> int:
     from .bathfit import sample_cost_distribution
+    from .scenario import histogram_csv, write_output
 
-    try:
-        _spec, _basis, problem = _fit_problem(args)
-        hist = sample_cost_distribution(problem, args.n)
-    except (OSError, ValueError) as exc:  # unreadable or invalid config, bad seed or n
-        return _fail(exc)
-    out = _out_dir(args, args.config)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "histogram.csv").write_text(hist.to_csv(), encoding="utf-8", newline="\n")
+    _spec, _basis, problem = _fit_problem(args)
+    hist = sample_cost_distribution(problem, args.n)
+    write_output(_out_dir(args, args.config) / "histogram.csv", histogram_csv(hist))
     print(
         f"n={hist.n_samples} min={hist.minimum!r} mean={hist.mean!r} max={hist.maximum!r}"
     )
     return 0
 
 
-def _read_series(path: str, x_col: str, y_col: str):
+def _read_csv(path: str, columns=()) -> tuple[list[str], np.ndarray]:
+    """A CSV's header and its nonblank rows, each cell parsed by ``float``.
+
+    Raises ValueError naming the file for any of ``columns`` the header
+    lacks and for a row whose cell count differs from the header's.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        xi, yi = header.index(x_col), header.index(y_col)
-        xs, ys = [], []
-        for line in fh:
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            xs.append(float(cells[xi]))
-            ys.append(float(cells[yi]))
-    return np.array(xs), np.array(ys)
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise ValueError(f"{path} has no column {', '.join(map(repr, missing))}")
+    for cells in rows:
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: a row has {len(cells)} cells, the header {len(header)}")
+    values = [[float(cell) for cell in cells] for cells in rows]
+    return header, np.array(values).reshape(len(rows), len(header))
 
 
 def _cmd_compare(args) -> int:
     from .qed_reference import compare_curves
 
-    xa, ya = _read_series(args.series_a, args.x_col, args.y_col)
-    xb, yb = _read_series(args.series_b, args.x_col_b or args.x_col, args.y_col_b or args.y_col)
-    if args.normalized_time:
-        xa = xa / xa.max()
-        xb = xb / xb.max()
-    distance = compare_curves((xa, ya), (xb, yb))
-    print(repr(distance))
+    curves = []
+    for path, x_col, y_col in (
+        (args.series_a, args.x_col, args.y_col),
+        (args.series_b, args.x_col_b or args.x_col, args.y_col_b or args.y_col),
+    ):
+        header, rows = _read_csv(path, (x_col, y_col))
+        x, y = rows[:, header.index(x_col)], rows[:, header.index(y_col)]
+        curves.append((x / x.max() if args.normalized_time else x, y))
+    print(repr(compare_curves(*curves)))
     return 0
 
 
@@ -249,23 +242,15 @@ def _cmd_spectral_temperature(args) -> int:
 
     spins = tuple(as_spin(s.strip()) for s in args.spins.split(","))
     spec = EnergySpectrum(spins, scale=args.scale)
-    with open(args.trajectory, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        pop_cols = [i for i, name in enumerate(header) if name.startswith("p_")]
-        if len(pop_cols) != len(spins):
-            print(
-                f"error: trajectory has {len(pop_cols)} population columns, "
-                f"got {len(spins)} spins",
-                file=sys.stderr,
-            )
-            return 1
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    populations = np.array(
-        [[float(cells[i]) for i in pop_cols] for cells in rows]
-    ).reshape(len(rows), len(spins))
+    header, rows = _read_csv(args.trajectory)
+    pop_cols = [i for i, name in enumerate(header) if name.startswith("p_")]
+    if len(pop_cols) != len(spins):
+        raise ValueError(
+            f"trajectory has {len(pop_cols)} population columns, got {len(spins)} spins"
+        )
     states = np.zeros((len(rows), len(spins), len(spins)), dtype=complex)
     diagonal = np.arange(len(spins))
-    states[:, diagonal, diagonal] = populations
+    states[:, diagonal, diagonal] = rows[:, pop_cols]
     return _write_csv(args.out, "temperature.csv", temperature_csv(Trajectory(states), spec))
 
 
@@ -346,7 +331,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # an unreadable or invalid input
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -41,6 +41,9 @@ POSITIVITY_TOL = 1e-10
 KRAUS_COMPLETENESS_TOL = 1e-10
 CHOI_NEGATIVITY_TOL = 1e-8
 KRAUS_KEEP_TOL = 1e-12
+KERNEL_TOL = 1e-9
+INVARIANCE_TOL = 1e-8
+LIMIT_HORIZON_FACTOR = 50.0
 
 
 class InvariantViolation(ValueError):
@@ -325,10 +328,10 @@ def evolve_continuous(L: Superoperator, rho0: np.ndarray, t: float) -> np.ndarra
     return out
 
 
-def limit_channel(L: Superoperator, horizon_factor: float = 50.0) -> Superoperator:
+def limit_channel(L: Superoperator) -> Superoperator:
     """Large-time channel exp(t* L) with a doubling convergence check.
 
-    t* is set to horizon_factor over the smallest nonzero decay rate; the
+    t* is set to LIMIT_HORIZON_FACTOR over the smallest nonzero decay rate; the
     channel is accepted once doubling the horizon moves it by less than
     1e-10.
     """
@@ -339,7 +342,7 @@ def limit_channel(L: Superoperator, horizon_factor: float = 50.0) -> Superoperat
     nonzero = rates[rates > 1e-12]
     if nonzero.size == 0:
         return Superoperator(np.eye(L.matrix.shape[0], dtype=complex), "channel")
-    t_star = horizon_factor / float(nonzero.min())
+    t_star = LIMIT_HORIZON_FACTOR / float(nonzero.min())
     U = expm(t_star * L.matrix)
     for _ in range(8):
         U2 = U @ U
@@ -351,7 +354,7 @@ def limit_channel(L: Superoperator, horizon_factor: float = 50.0) -> Superoperat
     )
 
 
-def steady_states(L: Superoperator, kernel_tol: float = 1e-9) -> list[np.ndarray]:
+def steady_states(L: Superoperator) -> list[np.ndarray]:
     """Density-matrix representatives spanning the kernel of the generator.
 
     The kernel is taken from an SVD, Hermitized and orthonormalized.  The
@@ -364,7 +367,7 @@ def steady_states(L: Superoperator, kernel_tol: float = 1e-9) -> list[np.ndarray
     d = L.dim
     _, s, vh = np.linalg.svd(L.matrix)
     scale = s.max() if s.size and s.max() > 0 else 1.0
-    null_vectors = [vh[i].conj() for i in range(len(s)) if s[i] <= kernel_tol * scale]
+    null_vectors = [vh[i].conj() for i in range(len(s)) if s[i] <= KERNEL_TOL * scale]
     if not null_vectors:
         raise EmptyKernelError("no steady state found within tolerance")
 
@@ -589,7 +592,6 @@ def kraus_from_map(U0: Superoperator) -> KrausSet:
 def adiabatic_eliminate(
     M: KrausSet,
     h0_basis: Sequence[int],
-    invariance_tol: float = 1e-8,
 ) -> tuple["object", Superoperator]:
     """First-order reduced model on an invariant subspace.
 
@@ -619,7 +621,7 @@ def adiabatic_eliminate(
                     np.max(np.abs(out[np.ix_(outside, range(d))])),
                     np.max(np.abs(out[np.ix_(range(d), outside)])),
                 )
-            if leak > invariance_tol:
+            if leak > INVARIANCE_TOL:
                 raise InvariantViolation(
                     f"subspace not invariant: leakage {leak:.2e} from |{a}><{b}|"
                 )

@@ -20,6 +20,8 @@ from .recoupling import Spin, as_spin
 # Largest off-diagonal entry for which a state counts as diagonal in the
 # energy basis, so that its spectral temperature is defined.
 DIAG_TOL = 1e-8
+# Eigenvalues at or below this lie off a state's support (thermal_flow_check).
+SUPPORT_TOL = 1e-12
 
 
 class UndefinedTemperatureError(ValueError):
@@ -105,17 +107,15 @@ def energy_expectations(traj: Trajectory, spec: EnergySpectrum) -> np.ndarray:
 def energy_release(
     traj: Trajectory,
     spec: EnergySpectrum,
-    g: float | None = None,
     energies: np.ndarray | None = None,
 ) -> ObservableSeries:
-    """Forward-difference release S_k = (<E>_k - <E>_{k+1}) / g.
+    """Forward-difference release S_k = (<E>_k - <E>_{k+1}) / g, g the step weight.
 
     ``energies`` are the trajectory's ``energy_expectations`` when the
     caller already has them.
     """
     if traj.steps < 1:
         raise ValueError("trajectory needs at least two states")
-    step_g = traj.g if g is None else float(g)
     if energies is None:
         expect = energy_expectations(traj, spec)
     else:
@@ -124,7 +124,7 @@ def energy_release(
             raise ValueError(
                 f"{expect.shape} energies given for {traj.steps + 1} states"
             )
-    values = (expect[:-1] - expect[1:]) / step_g
+    values = (expect[:-1] - expect[1:]) / traj.g
     return ObservableSeries(tuple(range(traj.steps)), tuple(values.tolist()))
 
 
@@ -132,7 +132,6 @@ def _spectral_betas(
     states: np.ndarray,
     spec: EnergySpectrum,
     skip_undefined: bool,
-    diag_tol: float = DIAG_TOL,
     positivity_floor: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral inverse temperatures over a (k, N, N) stack of states.
@@ -154,14 +153,14 @@ def _spectral_betas(
     off[:, range(N), range(N)] = 0.0
     off_max = off.max(axis=(1, 2))
     prefactor = 1.0 - (pops[:, 0] + pops[:, -1]) / 2.0
-    defined = ~(off_max > diag_tol) & ~np.any(pops <= 0, axis=1) & (prefactor != 0)
+    defined = ~(off_max > DIAG_TOL) & ~np.any(pops <= 0, axis=1) & (prefactor != 0)
     if N == 1:
         defined[:] = False
     if not skip_undefined and not defined.all():
         k = int(np.argmin(defined))
         if N == 1:
             raise UndefinedTemperatureError("a single level has no temperature")
-        if off_max[k] > diag_tol:
+        if off_max[k] > DIAG_TOL:
             raise ValueError(
                 f"state is not diagonal in the energy basis (off-diag {off_max[k]:.2e})"
             )
@@ -194,12 +193,11 @@ def spectral_temperature(
     rho: np.ndarray,
     spec: EnergySpectrum,
     positivity_floor: float | None = None,
-    diag_tol: float = DIAG_TOL,
 ) -> tuple[float, float]:
     """Spectral inverse temperature of a (near-)diagonal state.
 
     Returns (1/k_B T, T).  Populations are read from the diagonal after
-    checking that off-diagonal elements are below ``diag_tol``.  A zero or
+    checking that off-diagonal elements are below ``DIAG_TOL``.  A zero or
     negative population makes the estimator undefined and raises, unless a
     positivity floor is explicitly supplied (silent regularization hides
     non-thermal structure, so it is opt-in).
@@ -208,7 +206,7 @@ def spectral_temperature(
     N = spec.dim
     if rho.shape != (N, N):
         raise ValueError("state dimension does not match the spectrum")
-    _, betas = _spectral_betas(rho[None], spec, False, diag_tol, positivity_floor)
+    _, betas = _spectral_betas(rho[None], spec, False, positivity_floor)
     beta = betas[0]
     temperature = math.inf if beta == 0 else 1.0 / beta
     return beta, temperature
@@ -232,7 +230,7 @@ def temperature_series(
     return ObservableSeries(tuple(steps.tolist()), tuple(betas.tolist()))
 
 
-def thermal_flow_check(rho: np.ndarray, s: float, support_tol: float = 1e-12) -> tuple[float, float]:
+def thermal_flow_check(rho: np.ndarray, s: float) -> tuple[float, float]:
     """Residuals of the modular flow generated by -ln(rho).
 
     Returns (flow residual, commutator norm): the norm of
@@ -243,7 +241,7 @@ def thermal_flow_check(rho: np.ndarray, s: float, support_tol: float = 1e-12) ->
     rho = np.asarray(rho, dtype=complex)
     herm = (rho + rho.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
-    keep = vals > support_tol
+    keep = vals > SUPPORT_TOL
     if not np.any(keep):
         raise ValueError("state has numerically empty support")
     logs = np.zeros_like(vals)

@@ -106,11 +106,35 @@ class CascadeResult:
         return self.times[:-1], vals
 
 
+def _cascade(cfg: DickeConfig, L, rho, sz_op, context: str) -> CascadeResult:
+    """Step rho by expm(dt L) over the config's time grid, clamping each state.
+
+    Times in the result are rescaled by the effective damping rate.
+    """
+    times = cfg.times()
+    dt = times[1] - times[0]
+    step = expm(dt * L.matrix)
+    dim = rho.shape[0]
+    states = np.empty((len(times),) + rho.shape, dtype=complex)
+    states[0] = rho
+    v = vec(rho)
+    clamp_total = 0
+    for k in range(1, len(times)):
+        v = step @ v
+        rho, clamped = clamp_density_matrix(unvec(v, dim), context)
+        clamp_total += clamped
+        if clamped:
+            v = vec(rho)
+        states[k] = rho
+    traj = Trajectory(states, g=dt, clamped=clamp_total)
+    sz = np.array([np.trace(s @ sz_op).real for s in states])
+    return CascadeResult(traj, cfg.gamma_eff * times, sz)
+
+
 def dicke_cascade(cfg: DickeConfig, initial_m: float | None = None) -> CascadeResult:
     """Integrate the effective collective-decay master equation.
 
-    The state stays inside the symmetric ladder by construction; times in
-    the result are rescaled by the effective damping rate.
+    The state stays inside the symmetric ladder by construction.
     """
     if initial_m is None:
         initial_m = cfg.n_qubits / 2.0
@@ -119,25 +143,8 @@ def dicke_cascade(cfg: DickeConfig, initial_m: float | None = None) -> CascadeRe
     L = generator(
         np.zeros((dim, dim)), [(cfg.gamma_eff, collective_lowering(cfg.n_qubits))]
     )
-    times = cfg.times()
-    dt = times[1] - times[0]
-    step = expm(dt * L.matrix)
     rho = pure_state(dim, start)
-    states = np.empty((len(times),) + rho.shape, dtype=complex)
-    states[0] = rho
-    v = vec(rho)
-    clamp_total = 0
-    for k in range(1, len(times)):
-        v = step @ v
-        rho, clamped = clamp_density_matrix(unvec(v, dim), "dicke cascade")
-        clamp_total += clamped
-        if clamped:
-            v = vec(rho)
-        states[k] = rho
-    traj = Trajectory(states, g=dt, clamped=clamp_total)
-    sz_op = collective_sz(cfg.n_qubits)
-    sz = np.array([np.trace(s @ sz_op).real for s in states])
-    return CascadeResult(traj, cfg.gamma_eff * times, sz)
+    return _cascade(cfg, L, rho, collective_sz(cfg.n_qubits), "dicke cascade")
 
 
 def cavity_cascade(
@@ -164,25 +171,9 @@ def cavity_cascade(
     A = np.kron(np.eye(dim_q), a)
     H = cfg.gamma * (A.conj().T @ Sq + A @ Sq.conj().T)
     L = generator(H, [(cfg.kappa, A)])
-    times = cfg.times()
-    dt = times[1] - times[0]
-    step = expm(dt * L.matrix)
     rho = np.kron(pure_state(dim_q, start), pure_state(dim_c, 0))
-    states = np.empty((len(times),) + rho.shape, dtype=complex)
-    states[0] = rho
-    v = vec(rho)
-    clamp_total = 0
-    for k in range(1, len(times)):
-        v = step @ v
-        rho, clamped = clamp_density_matrix(unvec(v, dim_q * dim_c), "cavity cascade")
-        clamp_total += clamped
-        if clamped:
-            v = vec(rho)
-        states[k] = rho
-    traj = Trajectory(states, g=dt, clamped=clamp_total)
     sz_op = np.kron(collective_sz(cfg.n_qubits), np.eye(dim_c))
-    sz = np.array([np.trace(s @ sz_op).real for s in states])
-    return CascadeResult(traj, cfg.gamma_eff * times, sz)
+    return _cascade(cfg, L, rho, sz_op, "cavity cascade")
 
 
 def _coerce_series(series) -> tuple[np.ndarray, np.ndarray]:

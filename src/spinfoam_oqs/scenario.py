@@ -120,6 +120,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "ScenarioConfig":
+        if not isinstance(data, Mapping):
+            raise ScenarioError(
+                f"a scenario config must be a JSON object, got {type(data).__name__}"
+            )
         cfg = dict(data)
         backend = cfg.get("backend")
         if backend not in ("pr3d", "asymptotic", "explicit_kappa"):
@@ -130,9 +134,16 @@ class ScenarioConfig:
             cfg.setdefault(key, value)
         if "evolution" not in cfg:
             raise ScenarioError("scenario needs an evolution block")
+        if not isinstance(cfg["evolution"], Mapping):
+            raise ScenarioError(f"evolution must be a JSON object, got {cfg['evolution']!r}")
         evo = dict(cfg["evolution"])
         evo.setdefault("g", 0.5)
         evo.setdefault("steps", 200)
+        steps, g = evo["steps"], evo["g"]
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
+            raise ScenarioError(f"evolution.steps must be an integer >= 0, got {steps!r}")
+        if isinstance(g, bool) or not isinstance(g, (int, float)) or not 0 < g < math.inf:
+            raise ScenarioError(f"evolution.g must be a finite number > 0, got {g!r}")
         if "initial" not in evo:
             raise ScenarioError("evolution block needs an initial state")
         cfg["evolution"] = evo
@@ -308,6 +319,35 @@ def _csv_rows(header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+def matrix_csv(matrix: TransitionMatrix | KappaMatrix) -> str:
+    """W or kappa as a table: one row per out label, one column per in label.
+
+    A complex cell reads ``{re!r}{im:+}j``; a real cell is the float's ``repr``.
+    """
+    basis = list(matrix.basis)
+    entries = matrix.entries.T.tolist()
+    if np.iscomplexobj(matrix.entries):
+        columns = [[f"{z.real!r}{z.imag:+}j" for z in column] for column in entries]
+    else:
+        columns = [map(repr, column) for column in entries]
+    return _csv_rows(["out\\in"] + basis, [basis] + columns)
+
+
+def write_output(path: Path, content: str | dict, report: dict | None = None) -> None:
+    """Write one output file, UTF-8 with LF line endings, making its directory.
+
+    ``content`` is the file's text, or a dict written as JSON with sorted
+    keys, a 2-space indent and one trailing newline.  With ``report``, the
+    file's name is appended to ``report["outputs"]``.
+    """
+    if isinstance(content, dict):
+        content = json.dumps(content, sort_keys=True, indent=2, default=str) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(content, encoding="utf-8", newline="\n")
+    if report is not None:
+        report["outputs"].append(path.name)
+
+
 def trajectory_csv(traj: Trajectory, basis, coherences=()) -> str:
     header = ["step", "time"]
     header += [f"p_{label}" for label in basis]
@@ -343,6 +383,12 @@ def temperature_csv(traj: Trajectory, spec: EnergySpectrum) -> str:
     return _csv_rows(["step", "inv_kbt", "temperature"], columns)
 
 
+def histogram_csv(hist) -> str:
+    """A ``CostHistogram``'s bins: left edge and density."""
+    columns = [_column(hist.bin_left), _column(hist.density)]
+    return _csv_rows(["bin_left", "density"], columns)
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
     """Execute the pipeline and write the artifact files.
 
@@ -351,7 +397,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
     nonzero-exit marker for the CLI.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     report: dict[str, Any] = {
         "config": cfg.raw,
@@ -371,35 +416,26 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
         kappa, W = build_kappa(cfg)
         basis = list(kappa.basis)
         if W is not None:
-            (out / "W.csv").write_text(W.to_csv(), encoding="utf-8", newline="\n")
-            report["outputs"].append("W.csv")
-        (out / "kappa.csv").write_text(kappa.to_csv(), encoding="utf-8", newline="\n")
-        report["outputs"].append("kappa.csv")
+            write_output(out / "W.csv", matrix_csv(W), report)
+        write_output(out / "kappa.csv", matrix_csv(kappa), report)
 
         evo = cfg["evolution"]
         rho0 = _initial_state(evo["initial"], basis)
         traj = evolve_effective(
             kappa,
-            EvolutionConfig(g=float(evo["g"]), steps=int(evo["steps"])),
+            EvolutionConfig(g=float(evo["g"]), steps=evo["steps"]),
             rho0,
         )
-        (out / "trajectory.csv").write_text(
-            trajectory_csv(traj, basis, cfg["coherences"]), encoding="utf-8", newline="\n"
+        write_output(
+            out / "trajectory.csv", trajectory_csv(traj, basis, cfg["coherences"]), report
         )
-        report["outputs"].append("trajectory.csv")
         report["clamped_eigenvalues"] = traj.clamped
 
         spec = _spectrum(cfg, basis)
         if spec is not None:
             energies = energy_expectations(traj, spec)
-            (out / "observables.csv").write_text(
-                observables_csv(traj, spec, energies), encoding="utf-8", newline="\n"
-            )
-            report["outputs"].append("observables.csv")
-            (out / "temperature.csv").write_text(
-                temperature_csv(traj, spec), encoding="utf-8", newline="\n"
-            )
-            report["outputs"].append("temperature.csv")
+            write_output(out / "observables.csv", observables_csv(traj, spec, energies), report)
+            write_output(out / "temperature.csv", temperature_csv(traj, spec), report)
             report["energy_initial"] = float(energies[0])
             report["energy_final"] = float(energies[-1])
         else:
@@ -414,11 +450,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
         report["status"] = "error"
         report["error"] = f"{type(exc).__name__}: {exc}"
     report["wall_time_s"] = time.monotonic() - started
-    (out / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2, default=str) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    write_output(out / "report.json", report)
     return report
 
 
@@ -429,7 +461,6 @@ def steady_state_report(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
     jump graph, ordered by the class's smallest basis index.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report: dict[str, Any] = {"config": cfg.raw, "status": "ok", "outputs": []}
     try:
         kappa, _W = build_kappa(cfg)
@@ -438,18 +469,11 @@ def steady_state_report(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
         header = ["state_index"] + [f"p_{b}" for b in kappa.basis]
         columns = [_column(np.arange(len(states)))]
         columns += [_column(populations[:, i]) for i in range(kappa.dim)]
-        (out / "steady.csv").write_text(
-            _csv_rows(header, columns), encoding="utf-8", newline="\n"
-        )
-        report["outputs"].append("steady.csv")
+        write_output(out / "steady.csv", _csv_rows(header, columns), report)
         report["count"] = len(states)
         report["populations"] = populations.tolist()
     except Exception as exc:  # noqa: BLE001
         report["status"] = "error"
         report["error"] = f"{type(exc).__name__}: {exc}"
-    (out / "steady_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2, default=str) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    write_output(out / "steady_report.json", report)
     return report

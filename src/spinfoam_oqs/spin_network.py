@@ -409,10 +409,12 @@ class NetworkTemplate:
         return Spin.range(lo, hi)
 
 
+MAX_NODE_RETRIES = 1000
+
+
 def random_network(
     template: NetworkTemplate,
     seed: int,
-    max_node_retries: int = 1000,
 ) -> SpinNetwork:
     """Uniformly sample link spins, resampling per node until admissible.
 
@@ -437,7 +439,7 @@ def random_network(
             return True
         return triangle_ok(*(labels[i] for i in ids))
 
-    budget = max_node_retries
+    budget = MAX_NODE_RETRIES
     stable = False
     while not stable:
         stable = True
@@ -446,7 +448,7 @@ def random_network(
                 if budget <= 0:
                     raise RetryBudgetExhausted(
                         f"no admissible labeling found for node {node} within "
-                        f"{max_node_retries} resamples"
+                        f"{MAX_NODE_RETRIES} resamples"
                     )
                 budget -= 1
                 stable = False

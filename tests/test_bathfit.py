@@ -224,10 +224,13 @@ def test_fit_problem_takes_numpy_integer_seed(basis, model):
     assert type(problem.seed) is int and problem.seed == 2**40
 
 
-def test_histogram_csv_format(basis, model):
+def test_histogram_csv_format(basis, model, tmp_path):
+    from spinfoam_oqs.scenario import histogram_csv, write_output
+
     target = chain_target(2, basis)
     hist = sample_cost_distribution(FitProblem(target, model, seed=1), 50)
-    lines = hist.to_csv().strip().split("\n")
+    write_output(tmp_path / "histogram.csv", histogram_csv(hist))
+    lines = (tmp_path / "histogram.csv").read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "bin_left,density"
     assert len(lines) == 21
 

@@ -67,6 +67,46 @@ def test_bad_coherence_pair_rejected_before_any_output(tmp_path, pair):
     assert not (tmp_path / "run" / "kappa.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("steps", 2.7, "evolution.steps"),
+        ("steps", True, "evolution.steps"),
+        ("steps", "5", "evolution.steps"),
+        ("steps", -1, "evolution.steps"),
+        ("g", True, "evolution.g"),
+        ("g", "0.5", "evolution.g"),
+        ("g", 0, "evolution.g"),
+        ("g", float("nan"), "evolution.g"),
+        ("g", float("inf"), "evolution.g"),
+        ("evolution", [1.0, 50], "evolution must be a JSON object"),
+        ("config", ["explicit_kappa"], "scenario config must be a JSON object"),
+    ],
+    ids=[
+        "steps_float", "steps_bool", "steps_str", "steps_negative", "g_bool", "g_str",
+        "g_zero", "g_nan", "g_inf", "evolution_list", "config_list",
+    ],
+)
+def test_bad_evolution_rejected_before_any_output(tmp_path, where, value, message):
+    data = json.loads((SCENARIOS / "explicit_kappa_identity.json").read_text())
+    if where == "config":
+        data = value
+    elif where == "evolution":
+        data["evolution"] = value
+    else:
+        data["evolution"][where] = value
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioConfig.from_mapping(data)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert message in report["error"]
+    assert not (tmp_path / "run" / "kappa.csv").exists()
+
+
 def test_coherence_headers_distinct_at_two_digit_indices():
     rho = np.eye(12, dtype=complex) / 12
     rho[1, 11], rho[11, 1] = 0.01 + 0.02j, 0.01 - 0.02j
@@ -545,6 +585,67 @@ def test_cli_spectral_temperature(tmp_path, capsys):
     assert rc == 1
     assert "3 population columns, got 2 spins" in capsys.readouterr().err
     assert not (tmp_path / "short.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "{a}", "{a}", "--y-col", "nosuch"], "a.csv has no column 'nosuch'"),
+        (["compare", "{a}", "{ragged}"], "ragged.csv: a row has 1 cells, the header 2"),
+        (["compare", "{a}", "{missing}"], "error: FileNotFoundError: "),
+        (["spectral-temperature", "--trajectory", "{missing}", "--spins", "0,1",
+          "--out", "{out}"], "error: FileNotFoundError: "),
+        (["spectral-temperature", "--trajectory", "{a}", "--spins", "0,x",
+          "--out", "{out}"], "error: ValueError: "),
+        (["two-level", "--lambda1", "1", "--lambda2", "2", "--sweep", "0", "1", "2.5",
+          "--out", "{out}"], "error: ValueError: invalid literal for int()"),
+        (["two-level", "--lambda1", "1", "--lambda2", "2", "--sweep", "0", "1", "-2",
+          "--out", "{out}"], "error: ValueError: "),
+    ],
+    ids=[
+        "compare_unknown_column", "compare_ragged_row", "compare_missing_file",
+        "spectral_missing_file", "spectral_bad_spin", "sweep_float_count",
+        "sweep_negative_count",
+    ],
+)
+def test_file_commands_reject_bad_input_before_any_output(tmp_path, capsys, argv, message):
+    paths = {
+        "a": tmp_path / "a.csv", "ragged": tmp_path / "ragged.csv",
+        "missing": tmp_path / "missing.csv", "out": tmp_path / "out",
+    }
+    paths["a"].write_text("time,release\n0.0,1.0\n1.0,0.5\n")
+    paths["ragged"].write_text("time,release\n0.0,1.0\n1.0\n")
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not paths["out"].exists()
+
+
+def test_only_the_writer_writes_files():
+    # Every output file goes through scenario.write_output: no other code in
+    # the package calls .write_text(, .write_bytes( or json.dumps(.
+    package = REPO / "src" / "spinfoam_oqs"
+    writers, writes = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "write_output":
+                writers.append((path.name, node.lineno, node.end_lineno))
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and (
+                    node.func.attr in ("write_text", "write_bytes")
+                    or (node.func.attr == "dumps" and ast.unparse(node.func.value) == "json")
+                )
+            ):
+                writes.append((path.name, node.lineno))
+    assert [name for name, *_ in writers] == ["scenario.py"]
+    (writer,) = writers
+    assert writes and all(
+        name == writer[0] and writer[1] <= line <= writer[2] for name, line in writes
+    ), writes
 
 
 # Every option of every subcommand. A new flag needs an edit here: each one
