@@ -25,8 +25,8 @@ def _load_config(path: str, args) -> "ScenarioConfig":
     from .scenario import ScenarioConfig
 
     cfg = ScenarioConfig.from_file(path)
-    if args.jmax is not None:
-        cfg.raw["jmax"] = args.jmax
+    if args.jmax is not None:  # checked like the config's own jmax
+        cfg = ScenarioConfig.from_mapping({**cfg.raw, "jmax": args.jmax})
     return cfg
 
 

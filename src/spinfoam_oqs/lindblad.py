@@ -2,15 +2,15 @@
 
 Superoperators act on column-vectorized density matrices (Fortran order),
 so vec(A rho B) = (B^T kron A) vec(rho).  Matrix exponentials go through
-scipy's scaling-and-squaring Pade implementation.  Evolutions validate
-the CPTP invariants of every state they return; eigenvalues in (-1e-10, 0)
-are clamped to zero with renormalization and the clamp count is reported
-on the trajectory.  A trajectory is one (steps + 1, d, d) array.
-Each state's smallest eigenvalue comes from one place,
-``block_min_eigenvalues``, which works per block of the coherence
-support; ``evolve_effective`` decides positivity with it and
-``Trajectory.min_eigenvalues`` reports it.  A clamp changes the stored
-state, never the state the next step starts from.
+scipy's scaling-and-squaring Pade implementation.  Every evolution, the
+cascades of ``qed_reference`` included, makes its states in one loop,
+``_stepped``, which checks the CPTP invariants of every state; eigenvalues
+in (-1e-10, 0) are clamped to zero with renormalization and the clamp
+count is reported on the trajectory, a (steps + 1, d, d) array.  Each
+state's smallest eigenvalue comes from ``block_min_eigenvalues``, which
+works per block of the coherence support; ``_stepped`` decides positivity
+with it and ``Trajectory.min_eigenvalues`` reports it.  A clamp changes the
+stored state, never the state the next step starts from.
 
 The effective generator sum kappa[n,m] D_{|n><m|} is purely incoherent: it
 is a classical (Pauli) rate equation on the populations, and every
@@ -189,14 +189,8 @@ def hermitian_part(rho: np.ndarray) -> np.ndarray:
 
 
 def validate_density_matrix(rho: np.ndarray, context: str = "state") -> None:
-    rho = np.asarray(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise InvariantViolation(f"{context}: Hermiticity violated beyond 1e-12")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise InvariantViolation(f"{context}: trace {np.trace(rho)} is not 1")
-    lo = float(np.min(np.linalg.eigvalsh(hermitian_part(rho))))
-    if lo < -POSITIVITY_TOL:
-        raise InvariantViolation(f"{context}: negative eigenvalue {lo}")
+    """Raise unless rho passes the checks of ``clamp_density_matrix``."""
+    clamp_density_matrix(rho, context)
 
 
 def clamp_density_matrix(rho: np.ndarray, context: str = "state") -> tuple[np.ndarray, int]:
@@ -316,16 +310,62 @@ class Trajectory:
         return block_min_eigenvalues(self.states)
 
 
+# States are stepped and checked this many at a time; the block bounds the
+# check's temporary arrays.
+_BLOCK = 256
+
+
+def _stepped(step, rho0: np.ndarray, steps: int, g: float, context: str) -> Trajectory:
+    """rho0 and the ``steps`` states after it; ``step(k, previous, out)`` writes state k.
+
+    States are stepped ``_BLOCK`` at a time and checked in one batch:
+    Hermiticity, trace, and each state's smallest eigenvalue from
+    ``block_min_eigenvalues``.  A state that fails a check or has a negative
+    eigenvalue goes through ``clamp_density_matrix`` (as ``"{context} {k}"``),
+    which raises or clamps.  The Hermitian part is stored; the raw state
+    always feeds the next step.
+    """
+    validate_density_matrix(rho0, "initial state")
+    shape = np.shape(rho0)
+    states = np.empty((steps + 1,) + shape, dtype=complex)
+    states[0] = rho0
+    clamp_total = 0
+    state = states[0]
+    for start in range(1, steps + 1, _BLOCK):
+        raw = np.empty((min(_BLOCK, steps + 1 - start),) + shape, dtype=complex)
+        # A map that leaves the valid region (a rate table with negative
+        # entries, say) can make the states after the first invalid one
+        # overflow; a per-step loop never made them, so no warning is shown.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(len(raw)):
+                step(start + k, state, raw[k])
+                state = raw[k]
+            sym = hermitian_part(raw)
+            herm = np.abs(raw - np.swapaxes(raw, 1, 2).conj()).max(axis=(1, 2))
+            trace_defect = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
+        states[start : start + len(raw)] = sym
+        valid = (herm <= HERMITICITY_TOL) & (trace_defect <= TRACE_TOL)
+        # clamp_density_matrix raises at the first invalid state, so the
+        # states after it (possibly not finite) need no eigenvalues.
+        checked = len(raw) if valid.all() else int(valid.argmin())
+        lows = np.full(len(raw), -np.inf)
+        lows[:checked] = block_min_eigenvalues(raw[:checked])
+        for k in np.flatnonzero(lows < 0):
+            rho, clamped = clamp_density_matrix(raw[k], f"{context} {start + k}")
+            clamp_total += clamped
+            states[start + k] = rho
+    return Trajectory(states, g=g, clamped=clamp_total)
+
+
 def evolve_continuous(L: Superoperator, rho0: np.ndarray, t: float) -> np.ndarray:
-    """exp(t L) applied to rho0, with the CPTP invariants re-validated."""
+    """exp(t L) applied to rho0: one step of ``_stepped``, none at t = 0."""
     if L.kind != "generator":
         raise ValueError("evolve_continuous needs a generator")
-    validate_density_matrix(rho0, "initial state")
-    if t == 0.0:
-        return np.asarray(rho0, dtype=complex).copy()
-    out = unvec(expm(t * L.matrix) @ vec(rho0), L.dim)
-    out, _ = clamp_density_matrix(out, f"state after t={t}")
-    return out
+
+    def step(k, previous, out):
+        out[...] = unvec(expm(t * L.matrix) @ vec(previous), L.dim)
+
+    return _stepped(step, rho0, int(t != 0.0), t, f"evolution to t={t}, step").states[-1]
 
 
 def limit_channel(L: Superoperator) -> Superoperator:
@@ -658,11 +698,6 @@ class EvolutionConfig:
             raise ValueError("steps must be non-negative")
 
 
-# States are stepped and checked this many at a time; the block bounds the
-# check's temporary arrays.
-_BLOCK = 256
-
-
 def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajectory:
     """Iterate rho -> exp(g sum kappa D) rho for cfg.steps steps.
 
@@ -671,53 +706,24 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
     matrix: the diagonal goes through the d x d map expm(g A) of the
     population rate matrix, and each off-diagonal entry rho_ab is scaled
     by exp(-g (Gamma_a + Gamma_b) / 2).  Both are computed once and reused.
-
     The map never creates coherence, so every state is block-diagonal over
-    the connected components of rho0's off-diagonal support.  States are
-    stepped ``_BLOCK`` at a time and checked in one batch: Hermiticity,
-    trace, and each state's smallest eigenvalue from
-    ``block_min_eigenvalues``.  A state that fails a check or has a
-    negative eigenvalue goes through ``clamp_density_matrix``, which raises
-    or clamps.  The raw (unsymmetrized) state always feeds the next step; a
-    clamp changes only the stored state and the clamp count.
+    the connected components of rho0's off-diagonal support, and
+    ``_stepped`` checks it with one small ``eigvalsh`` per block.
     """
     pop, decay = _rates(kappa)
     if np.shape(rho0) != pop.shape:
         raise ValueError(
             f"initial state has shape {np.shape(rho0)}, kappa has shape {pop.shape}"
         )
-    validate_density_matrix(rho0, "initial state")
     pop_step = expm(cfg.g * pop)
     mask = np.exp(-cfg.g * decay)
-    states = np.empty((cfg.steps + 1,) + pop.shape, dtype=complex)
-    states[0] = rho0
-    clamp_total = 0
-    state = states[0]
-    for start in range(1, cfg.steps + 1, _BLOCK):
-        raw = np.empty((min(_BLOCK, cfg.steps + 1 - start),) + pop.shape, dtype=complex)
-        # A rate table with negative entries can make the states after the
-        # first invalid one overflow; the per-step path never computed
-        # them, so their warnings are not shown.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(len(raw)):
-                populations = pop_step @ state.diagonal()
-                state = np.multiply(mask, state, out=raw[k])
-                np.fill_diagonal(state, populations)
-            sym = hermitian_part(raw)
-            herm = np.abs(raw - np.swapaxes(raw, 1, 2).conj()).max(axis=(1, 2))
-            trace_defect = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
-        states[start : start + len(raw)] = sym
-        valid = (herm <= HERMITICITY_TOL) & (trace_defect <= TRACE_TOL)
-        # clamp_density_matrix raises at the first invalid state, so the
-        # states after it (possibly not finite) need no eigenvalues.
-        checked = len(raw) if valid.all() else int(valid.argmin())
-        lows = np.full(len(raw), -np.inf)
-        lows[:checked] = block_min_eigenvalues(raw[:checked])
-        for k in np.flatnonzero(lows < 0):
-            rho, clamped = clamp_density_matrix(raw[k], f"step {start + k}")
-            clamp_total += clamped
-            states[start + k] = rho
-    return Trajectory(states, g=cfg.g, clamped=clamp_total)
+
+    def step(k, state, out):
+        populations = pop_step @ state.diagonal()
+        np.multiply(mask, state, out=out)
+        np.fill_diagonal(out, populations)
+
+    return _stepped(step, rho0, cfg.steps, cfg.g, "step")
 
 
 def evolve_kicked(
@@ -731,63 +737,48 @@ def evolve_kicked(
     ``coherent`` is None (identity), a Hermitian matrix used as the
     generator of the interval propagator, or a channel Superoperator
     applied once per interval (the non-unitary variant).  Each kick
-    applies exp(sum rate D_R) once.
+    applies exp(sum rate D_R) once.  Step k of ``_stepped`` is the
+    interval that ends at schedule[k - 1], then its kick.
     """
     times = [float(t) for t in schedule]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("schedule must be strictly increasing")
-    validate_density_matrix(rho0, "initial state")
     dampers = [(float(r), np.asarray(R, dtype=complex)) for r, R in dampers]
-    dim = rho0.shape[0]
-
-    if dampers:
-        kick_mat = expm(
-            sum(rate * dissipator_matrix(R) for rate, R in dampers)
-        )
-        kick = Superoperator(kick_mat, "channel")
-        defect = kick.trace_defect()
-        if defect > TRACE_TOL:
-            raise InvariantViolation(f"damping kick is not trace preserving: {defect}")
-    else:
-        kick = None
-
-    interval_channel = None
-    hamiltonian = None
-    if coherent is None:
-        pass
-    elif isinstance(coherent, Superoperator):
+    shapes = [R.shape for _, R in dampers]
+    interval_channel = hamiltonian = kick = None
+    if isinstance(coherent, Superoperator):
         if coherent.kind != "channel":
             raise ValueError("a Superoperator coherent part must be a channel")
-        defect = coherent.trace_defect()
-        if defect > TRACE_TOL:
-            raise InvariantViolation(
-                f"coherent channel is not trace preserving: {defect}"
-            )
         interval_channel = coherent
-    else:
+        shapes.append((coherent.dim, coherent.dim))
+    elif coherent is not None:
         hamiltonian = np.asarray(coherent, dtype=complex)
         if np.max(np.abs(hamiltonian - hamiltonian.conj().T)) > HERMITICITY_TOL:
             raise InvariantViolation("coherent generator must be Hermitian")
+        shapes.append(hamiltonian.shape)
+    for shape in shapes:
+        if np.shape(rho0) != shape:
+            raise ValueError(f"initial state has shape {np.shape(rho0)}, the map acts on {shape}")
+    if dampers:
+        generator_sum = sum(rate * dissipator_matrix(R) for rate, R in dampers)
+        kick = Superoperator(expm(generator_sum), "channel")
+    for name, channel in (("coherent channel", interval_channel), ("damping kick", kick)):
+        defect = 0.0 if channel is None else channel.trace_defect()
+        if defect > TRACE_TOL:
+            raise InvariantViolation(f"{name} is not trace preserving: {defect}")
+    intervals = np.diff(times, prepend=0.0)
 
-    states = np.empty((len(times) + 1, dim, dim), dtype=complex)
-    states[0] = rho0
-    clamp_total = 0
-    rho = states[0]
-    prev_t = 0.0
-    for k, t in enumerate(times, start=1):
-        dt = t - prev_t
-        prev_t = t
+    def step(k, rho, out):
         if interval_channel is not None:
             rho = interval_channel.apply(rho)
         elif hamiltonian is not None:
-            U = expm(-1j * dt * hamiltonian)
+            U = expm(-1j * intervals[k - 1] * hamiltonian)
             rho = U @ rho @ U.conj().T
         if kick is not None:
             rho = kick.apply(rho)
-        rho, clamped = clamp_density_matrix(rho, f"kick at t={t}")
-        clamp_total += clamped
-        states[k] = rho
-    return Trajectory(states, g=(times[0] if times else 1.0), clamped=clamp_total)
+        out[...] = rho
+
+    return _stepped(step, rho0, len(times), times[0] if times else 1.0, "kick")
 
 
 def subspace_relaxer(

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .lindblad import (
-    Trajectory,
-    clamp_density_matrix,
-    generator,
-    pure_state,
-    vec,
-    unvec,
-)
+from .lindblad import Trajectory, _stepped, generator, pure_state, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -107,27 +100,19 @@ class CascadeResult:
 
 
 def _cascade(cfg: DickeConfig, L, rho, sz_op, context: str) -> CascadeResult:
-    """Step rho by expm(dt L) over the config's time grid, clamping each state.
+    """Step rho by expm(dt L) over the config's time grid through ``_stepped``.
 
     Times in the result are rescaled by the effective damping rate.
     """
     times = cfg.times()
     dt = times[1] - times[0]
-    step = expm(dt * L.matrix)
-    dim = rho.shape[0]
-    states = np.empty((len(times),) + rho.shape, dtype=complex)
-    states[0] = rho
-    v = vec(rho)
-    clamp_total = 0
-    for k in range(1, len(times)):
-        v = step @ v
-        rho, clamped = clamp_density_matrix(unvec(v, dim), context)
-        clamp_total += clamped
-        if clamped:
-            v = vec(rho)
-        states[k] = rho
-    traj = Trajectory(states, g=dt, clamped=clamp_total)
-    sz = np.array([np.trace(s @ sz_op).real for s in states])
+    propagator = expm(dt * L.matrix)
+
+    def step(k, previous, out):
+        out[...] = unvec(propagator @ vec(previous), L.dim)
+
+    traj = _stepped(step, rho, len(times) - 1, dt, context)
+    sz = np.array([np.trace(s @ sz_op).real for s in traj.states])
     return CascadeResult(traj, cfg.gamma_eff * times, sz)
 
 
@@ -144,7 +129,7 @@ def dicke_cascade(cfg: DickeConfig, initial_m: float | None = None) -> CascadeRe
         np.zeros((dim, dim)), [(cfg.gamma_eff, collective_lowering(cfg.n_qubits))]
     )
     rho = pure_state(dim, start)
-    return _cascade(cfg, L, rho, collective_sz(cfg.n_qubits), "dicke cascade")
+    return _cascade(cfg, L, rho, collective_sz(cfg.n_qubits), "dicke cascade step")
 
 
 def cavity_cascade(
@@ -173,7 +158,7 @@ def cavity_cascade(
     L = generator(H, [(cfg.kappa, A)])
     rho = np.kron(pure_state(dim_q, start), pure_state(dim_c, 0))
     sz_op = np.kron(collective_sz(cfg.n_qubits), np.eye(dim_c))
-    return _cascade(cfg, L, rho, sz_op, "cavity cascade")
+    return _cascade(cfg, L, rho, sz_op, "cavity cascade step")
 
 
 def _coerce_series(series) -> tuple[np.ndarray, np.ndarray]:

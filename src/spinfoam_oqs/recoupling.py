@@ -62,10 +62,10 @@ class Spin:
 
 
 def as_spin(value) -> Spin:
-    """Coerce ints, exact half-integer floats, fractions and '3/2' strings."""
+    """Coerce ints (not bools), exact half-integer floats, fractions and '3/2' strings."""
     if isinstance(value, Spin):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Spin(2 * value)
     if isinstance(value, str):
         if "/" in value:

@@ -56,20 +56,20 @@ TOLERANCES = {
     "kappa_normalization": 1e-12,
 }
 
+
+def _internal(spec) -> tuple[Spin, Spin]:
+    return Spin(0), as_spin(spec.get("internal_max", "4"))
+
+
 _FOAM_BUILDERS = {
     "single_vertex": lambda spec: single_vertex_foam(),
     "disconnected_pair": lambda spec: disconnected_pair_foam(),
-    "bridged_pair": lambda spec: bridged_pair_foam(
-        internal_range=(Spin(0), as_spin(spec.get("internal_max", "4")))
-    ),
-    "cascade_pair": lambda spec: cascade_pair_foam(
-        internal_range=(Spin(0), as_spin(spec.get("internal_max", "4")))
-    ),
-    "chain": lambda spec: chain_foam(
-        int(spec.get("vertices", 2)),
-        internal_range=(Spin(0), as_spin(spec.get("internal_max", "4"))),
-    ),
+    "bridged_pair": lambda spec: bridged_pair_foam(internal_range=_internal(spec)),
+    "cascade_pair": lambda spec: cascade_pair_foam(internal_range=_internal(spec)),
+    "chain": lambda spec: chain_foam(spec.get("vertices", 2), internal_range=_internal(spec)),
 }
+
+_SPIN = 'a spin such as 2 or "5/2"'
 
 DEFAULTS = {
     "normalization": "over_n",
@@ -81,6 +81,24 @@ DEFAULTS = {
 
 class ScenarioError(ValueError):
     """Configuration failed validation."""
+
+
+def _number(value, kinds=(int, float)) -> bool:
+    """A finite JSON number of one of ``kinds``; true and false are not numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _spin(value) -> bool:
+    try:
+        as_spin(value)
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+    return True
+
+
+def _require(ok: bool, field: str, what: str, value) -> None:
+    if not ok:
+        raise ScenarioError(f"{field} must be {what}, got {value!r}")
 
 
 def _check_kappa_table(table, basis) -> None:
@@ -100,11 +118,7 @@ def _check_kappa_table(table, basis) -> None:
         )
     for n, row in enumerate(table):
         for m, cell in enumerate(row):
-            if (
-                isinstance(cell, bool)
-                or not isinstance(cell, (int, float))
-                or not math.isfinite(cell)
-            ):
+            if not _number(cell):
                 raise ScenarioError(f"kappa[{n}][{m}] is not a finite number: {cell!r}")
     if basis is not None and len(basis) != len(table):
         raise ScenarioError(
@@ -126,66 +140,72 @@ class ScenarioConfig:
             )
         cfg = dict(data)
         backend = cfg.get("backend")
-        if backend not in ("pr3d", "asymptotic", "explicit_kappa"):
-            raise ScenarioError(
-                f"backend must be pr3d, asymptotic or explicit_kappa, got {backend!r}"
-            )
+        _require(backend in ("pr3d", "asymptotic", "explicit_kappa"), "backend",
+                 "pr3d, asymptotic or explicit_kappa", backend)
         for key, value in DEFAULTS.items():
             cfg.setdefault(key, value)
         if "evolution" not in cfg:
             raise ScenarioError("scenario needs an evolution block")
-        if not isinstance(cfg["evolution"], Mapping):
-            raise ScenarioError(f"evolution must be a JSON object, got {cfg['evolution']!r}")
-        evo = dict(cfg["evolution"])
-        evo.setdefault("g", 0.5)
-        evo.setdefault("steps", 200)
+        _require(isinstance(cfg["evolution"], Mapping), "evolution", "a JSON object",
+                 cfg["evolution"])
+        evo = {"g": 0.5, "steps": 200, **cfg["evolution"]}
         steps, g = evo["steps"], evo["g"]
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
-            raise ScenarioError(f"evolution.steps must be an integer >= 0, got {steps!r}")
-        if isinstance(g, bool) or not isinstance(g, (int, float)) or not 0 < g < math.inf:
-            raise ScenarioError(f"evolution.g must be a finite number > 0, got {g!r}")
+        _require(_number(steps, int) and steps >= 0, "evolution.steps", "an integer >= 0", steps)
+        _require(_number(g) and g > 0, "evolution.g", "a finite number > 0", g)
         if "initial" not in evo:
             raise ScenarioError("evolution block needs an initial state")
         cfg["evolution"] = evo
+        _require(_spin(cfg["jmax"]), "jmax", _SPIN, cfg["jmax"])
+        scale = cfg["energy_scale"]
+        _require(_number(scale) and scale > 0, "energy_scale", "a finite number > 0", scale)
         if backend == "pr3d":
             for key in ("basis", "foam", "in_links", "out_links"):
                 if key not in cfg:
                     raise ScenarioError(f"pr3d backend needs {key!r}")
-            foam_kind = cfg["foam"].get("kind")
-            if foam_kind not in _FOAM_BUILDERS:
-                raise ScenarioError(f"unknown foam kind {foam_kind!r}")
+            foam = cfg["foam"]
+            kind = foam.get("kind") if isinstance(foam, Mapping) else None
+            if kind not in _FOAM_BUILDERS:
+                raise ScenarioError(f"unknown foam kind {kind!r}")
+            _require("internal_max" not in foam or _spin(foam["internal_max"]),
+                     "foam.internal_max", _SPIN, foam.get("internal_max"))
+            vertices = foam.get("vertices", 2)
+            _require(kind != "chain" or (_number(vertices, int) and vertices >= 2),
+                     "foam.vertices", "an integer >= 2", vertices)
+            for key in ("in_links", "out_links"):
+                links = cfg[key]
+                _require(isinstance(links, (list, tuple)) and all(_number(l, int) for l in links),
+                         key, "a list of integer link indices", links)
+            for i, label in enumerate(cfg["basis"]):
+                spins = label if isinstance(label, (list, tuple)) else [label]
+                _require(all(map(_spin, spins)), f"basis[{i}]", _SPIN, label)
         elif backend == "asymptotic":
             block = cfg.get("asymptotic")
-            if not block or "lambda1" not in block or "lambda2" not in block:
+            if not isinstance(block, Mapping) or not {"lambda1", "lambda2"} <= block.keys():
                 raise ScenarioError("asymptotic backend needs lambda1 and lambda2")
-            block = dict(block)
-            block.setdefault("alpha", 0.0)
-            block.setdefault("gamma_immirzi", 1.0)
-            block.setdefault("regge_action", 1.0)
-            block.setdefault("n_plus_abs", 1.0)
+            block = {"alpha": 0.0, "gamma_immirzi": 1.0, "regge_action": 1.0,
+                     "n_plus_abs": 1.0, **block}
+            for key in ("lambda1", "lambda2", "gamma_immirzi", "regge_action", "n_plus_abs"):
+                _require(_number(block[key]), f"asymptotic.{key}", "a finite number", block[key])
+            alpha = block["alpha"]
+            parts = alpha if isinstance(alpha, (list, tuple)) else [alpha]
+            _require(1 <= len(parts) <= 2 and all(map(_number, parts)),
+                     "asymptotic.alpha", "a number or [re, im]", alpha)
             cfg["asymptotic"] = block
             cfg.setdefault("basis", ["1", "2"])
         else:
             if "kappa" not in cfg:
                 raise ScenarioError("explicit_kappa backend needs a kappa table")
             _check_kappa_table(cfg["kappa"], cfg.get("basis"))
-            cfg.setdefault(
-                "basis", [str(i) for i in range(len(cfg["kappa"]))]
-            )
+            cfg.setdefault("basis", [str(i) for i in range(len(cfg["kappa"]))])
         dim = len(cfg["basis"])
         coherences = cfg["coherences"]
-        if not isinstance(coherences, (list, tuple)):
-            raise ScenarioError(
-                f"coherences must be a list of index pairs, got {coherences!r}"
-            )
+        _require(isinstance(coherences, (list, tuple)), "coherences", "a list of index pairs",
+                 coherences)
         for pair in coherences:
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
-                and all(
-                    isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim
-                    for i in pair
-                )
+                and all(_number(i, int) and 0 <= i < dim for i in pair)
             ):
                 raise ScenarioError(
                     f"coherences entry {pair!r} is not a pair of basis indices "
@@ -241,8 +261,8 @@ def build_kappa(cfg: ScenarioConfig) -> tuple[KappaMatrix, TransitionMatrix | No
         bath = _build_bath(bath_spec) if bath_spec else None
         provider = FoamProvider(
             foam,
-            in_links=tuple(int(l) for l in cfg["in_links"]),
-            out_links=tuple(int(l) for l in cfg["out_links"]),
+            in_links=tuple(cfg["in_links"]),
+            out_links=tuple(cfg["out_links"]),
             bath=bath,
             j_max=as_spin(cfg["jmax"]),
         )

@@ -107,6 +107,73 @@ def test_bad_evolution_rejected_before_any_output(tmp_path, where, value, messag
     assert not (tmp_path / "run" / "kappa.csv").exists()
 
 
+def _chain(cfg):
+    cfg["foam"] = {"kind": "chain", "vertices": 2.7}
+    cfg["in_links"], cfg["out_links"] = [0, 1, 2], [3, 4, 5]
+    del cfg["bath"]
+
+
+@pytest.mark.parametrize(
+    "scenario, edit, message",
+    [
+        ("cascade_pr3d", lambda c: c.update(energy_scale=True), "energy_scale must be"),
+        ("cascade_pr3d", lambda c: c.update(energy_scale=0), "energy_scale must be"),
+        ("cascade_pr3d", lambda c: c.update(in_links=[0.9]), "in_links must be"),
+        ("cascade_pr3d", lambda c: c.update(out_links=[True]), "out_links must be"),
+        ("cascade_pr3d", _chain, "foam.vertices must be an integer >= 2, got 2.7"),
+        ("cascade_pr3d", lambda c: c["foam"].update(internal_max=True),
+         "foam.internal_max must be a spin"),
+        ("cascade_pr3d", lambda c: c.update(basis=[False, True, "2"]),
+         "basis[0] must be a spin"),
+        ("cascade_pr3d", lambda c: c.update(basis=["0", ["1", "x"], "2"]),
+         "basis[1] must be a spin"),
+        ("cascade_pr3d", lambda c: c.update(jmax=True), "jmax must be a spin"),
+        ("cascade_pr3d", lambda c: c.update(jmax="1/0"), "jmax must be a spin"),
+        ("cascade_pr3d", lambda c: c.update(foam=["cascade_pair"]), "unknown foam kind"),
+        ("two_level_asymptotic", lambda c: c["asymptotic"].update(lambda1=True),
+         "asymptotic.lambda1 must be a finite number"),
+        ("two_level_asymptotic", lambda c: c["asymptotic"].update(regge_action="1.0"),
+         "asymptotic.regge_action must be a finite number"),
+        ("two_level_asymptotic", lambda c: c["asymptotic"].update(alpha=[1.0, False]),
+         "asymptotic.alpha must be a number or [re, im]"),
+        ("explicit_kappa_identity", lambda c: c.update(jmax="abc"), "jmax must be a spin"),
+    ],
+    ids=[
+        "energy_scale_bool", "energy_scale_zero", "in_links_float", "out_links_bool",
+        "vertices_float", "internal_max_bool", "basis_bool", "basis_tuple_label",
+        "jmax_bool", "jmax_zero_denominator", "foam_list", "lambda1_bool",
+        "regge_action_str", "alpha_bool", "jmax_any_backend",
+    ],
+)
+def test_bad_fields_rejected_before_any_output(tmp_path, scenario, edit, message):
+    data = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    data["evolution"]["steps"] = 5
+    edit(data)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioConfig.from_mapping(data)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["error"].startswith("ScenarioError: ") and message in report["error"]
+    assert not (tmp_path / "run" / "kappa.csv").exists()
+
+
+def test_jmax_override_is_checked_like_the_config(tmp_path, capsys):
+    config = str(SCENARIOS / "cascade_pr3d.json")
+    rc = main(["evolve", "--config", config, "--jmax", "abc", "--out", str(tmp_path / "e")])
+    assert rc == 1
+    report = json.loads((tmp_path / "e" / "report.json").read_text())
+    assert report["error"] == "ScenarioError: jmax must be a spin such as 2 or \"5/2\", got 'abc'"
+    assert not (tmp_path / "e" / "W.csv").exists()
+    rc = main(["steady-state", "--config", config, "--jmax", "abc", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "ScenarioError: jmax must be a spin" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_coherence_headers_distinct_at_two_digit_indices():
     rho = np.eye(12, dtype=complex) / 12
     rho[1, 11], rho[11, 1] = 0.01 + 0.02j, 0.01 - 0.02j
@@ -646,6 +713,19 @@ def test_only_the_writer_writes_files():
     assert writes and all(
         name == writer[0] and writer[1] <= line <= writer[2] for name, line in writes
     ), writes
+
+
+def test_only_lindblad_clamps_states():
+    # Every evolution steps and clamps its states in lindblad._stepped: no
+    # other module of the package calls clamp_density_matrix.
+    package = REPO / "src" / "spinfoam_oqs"
+    callers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("clamp_density_matrix")
+    }
+    assert callers == {"lindblad.py"}, callers
 
 
 # Every option of every subcommand. A new flag needs an edit here: each one

@@ -96,6 +96,13 @@ def test_spin_stores_doubled_integer():
         Spin(-1)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_as_spin_rejects_bool(value):
+    # bool is an int subclass: as_spin(True) used to read as spin 1.
+    with pytest.raises(TypeError):
+        as_spin(value)
+
+
 def test_triangle_rule():
     assert triangle_ok("1/2", "1/2", 1)
     assert not triangle_ok("1/2", "1/2", "1/2")  # half-integer total
