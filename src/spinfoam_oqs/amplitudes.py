@@ -25,6 +25,7 @@ import numpy as np
 from .recoupling import Spin, as_spin, wigner6j, wigner6j_batch
 
 GAUSSIAN_TAIL_CUT = 1e-8
+KAPPA_NORMALIZATION_TOL = 1e-12  # how far a kappa column (over_n) or row (over_m) sums from 1
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k for k mod 4
 _PHASE_TABLE = np.array(_PHASES)
@@ -257,15 +258,8 @@ class BoundaryState:
         )
 
     @classmethod
-    def gaussian(cls, centers: Mapping[int, Spin | float | str], weight: complex = 1.0):
-        def coerce(s):
-            if isinstance(s, str) and "/" in s:
-                return float(as_spin(s).j)
-            return float(s) if not isinstance(s, Spin) else float(s.j)
-
-        return cls(
-            [(weight, {l: LinkWeight("gaussian", coerce(s)) for l, s in centers.items()})]
-        )
+    def gaussian(cls, centers: Mapping[int, Spin | float], weight: complex = 1.0):
+        return cls([(weight, {l: LinkWeight("gaussian", s) for l, s in centers.items()})])
 
     @classmethod
     def superposition(cls, terms: Sequence[tuple[complex, Mapping[int, Spin | float | str]]]):
@@ -605,12 +599,12 @@ class KappaMatrix:
             raise ValueError("entries must be square and match the basis")
         if not np.all(np.isfinite(e)):
             raise ValueError("non-finite kappa rate")
-        if np.any(e < -1e-15) or np.any(e > 1 + 1e-12):
+        if np.any(e < -1e-15) or np.any(e > 1 + KAPPA_NORMALIZATION_TOL):
             raise ValueError("kappa entries must lie in [0, 1]")
         if self.convention not in ("over_n", "over_m"):
             raise ValueError(f"unknown convention {self.convention!r}")
         sums = e.sum(axis=0) if self.convention == "over_n" else e.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
+        if np.max(np.abs(sums - 1.0)) > KAPPA_NORMALIZATION_TOL:
             raise ValueError(
                 f"{self.convention} normalization violated: sums={sums}"
             )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -125,53 +124,11 @@ def _write_csv(out, default_name: str, text: str) -> int:
     return 0
 
 
-def _int_field(spec: dict, key: str, default: int) -> int:
-    """A fit config's integer field; a bool or a float is rejected, not cast."""
-    value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _fit_basis(spec, config_path: str):
-    """Basis triples: from a textual network file or sampled randomly."""
-    from .bathfit import admissible_triple_basis, basis_from_network_file
-
-    if "basis_file" in spec:
-        path = Path(config_path).resolve().parent / spec["basis_file"]
-        return basis_from_network_file(path)
-    return admissible_triple_basis(
-        _int_field(spec, "dim", 10),
-        spec.get("j_min", "1/2"),
-        spec.get("j_max", "5/2"),
-        seed=_int_field(spec, "basis_seed", 0),
-    )
-
-
-def _fit_problem(args):
-    """The fit config, its basis, and the problem ``fit`` and ``sample`` share."""
-    from .bathfit import FitProblem, chain_target, standard_model
-
-    with open(args.config, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise ValueError(f"a fit config must be a JSON object, got {type(spec).__name__}")
-    seed = args.seed if args.seed is not None else spec.get("seed", 0)
-    basis = _fit_basis(spec, args.config)
-    target = chain_target(
-        _int_field(spec, "vertices", 2),
-        basis,
-        internal_max=spec.get("internal_max", "2"),
-        j_max=spec.get("j_max", "5/2"),
-    )
-    return spec, basis, FitProblem(target, standard_model(basis), seed=seed)
-
-
 def _cmd_fit(args) -> int:
     from .bathfit import fit_bath
-    from .scenario import write_output
+    from .scenario import fit_problem, write_output
 
-    spec, basis, problem = _fit_problem(args)
+    vertices, basis, problem = fit_problem(args.config, args.seed)
     result = fit_bath(problem)
     payload = {
         "params": [float(x) for x in result.params],
@@ -179,7 +136,7 @@ def _cmd_fit(args) -> int:
         "evaluations": result.evaluations,
         "seed": result.seed,
         "status": result.status,
-        "vertices": spec.get("vertices", 2),
+        "vertices": vertices,
         "dim": len(basis),
     }
     write_output(_out_dir(args, args.config) / "fit_report.json", payload)
@@ -189,9 +146,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sample(args) -> int:
     from .bathfit import sample_cost_distribution
-    from .scenario import histogram_csv, write_output
+    from .scenario import fit_problem, histogram_csv, write_output
 
-    _spec, _basis, problem = _fit_problem(args)
+    _vertices, _basis, problem = fit_problem(args.config, args.seed)
     hist = sample_cost_distribution(problem, args.n)
     write_output(_out_dir(args, args.config) / "histogram.csv", histogram_csv(hist))
     print(

@@ -756,6 +756,7 @@ def evolve_kicked(
         if np.max(np.abs(hamiltonian - hamiltonian.conj().T)) > HERMITICITY_TOL:
             raise InvariantViolation("coherent generator must be Hermitian")
         shapes.append(hamiltonian.shape)
+        levels, modes = np.linalg.eigh(hamiltonian)
     for shape in shapes:
         if np.shape(rho0) != shape:
             raise ValueError(f"initial state has shape {np.shape(rho0)}, the map acts on {shape}")
@@ -772,7 +773,7 @@ def evolve_kicked(
         if interval_channel is not None:
             rho = interval_channel.apply(rho)
         elif hamiltonian is not None:
-            U = expm(-1j * intervals[k - 1] * hamiltonian)
+            U = (modes * np.exp(-1j * intervals[k - 1] * levels)) @ modes.conj().T
             rho = U @ rho @ U.conj().T
         if kick is not None:
             rho = kick.apply(rho)

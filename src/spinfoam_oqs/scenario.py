@@ -2,14 +2,16 @@
 
 A scenario names one amplitude backend (3D recoupling foam, analytic
 two-level, or an explicit damping table), an evolution block, and the
-observables to export.  Outputs are deterministic for a fixed config;
-every default the run fills in is echoed back in report.json.
+observables to export.  Each config field is parsed once, by ``_field``.
+Outputs are deterministic for a fixed config; every default the run fills
+in is echoed back in report.json.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .amplitudes import (
+    KAPPA_NORMALIZATION_TOL,
     AsymptoticParams,
     BoundaryState,
     FoamProvider,
@@ -30,11 +33,15 @@ from .amplitudes import (
     chain_foam,
     disconnected_pair_foam,
     kappa_from_W,
+    label_str,
     single_vertex_foam,
     transition_matrix,
     two_level_rho11,
 )
 from .lindblad import (
+    HERMITICITY_TOL,
+    POSITIVITY_TOL,
+    TRACE_TOL,
     EvolutionConfig,
     Trajectory,
     evolve_effective,
@@ -50,55 +57,115 @@ from .observables import (
 from .recoupling import Spin, as_spin
 
 TOLERANCES = {
-    "trace": 1e-10,
-    "hermiticity": 1e-12,
-    "positivity": 1e-10,
-    "kappa_normalization": 1e-12,
+    "trace": TRACE_TOL,
+    "hermiticity": HERMITICITY_TOL,
+    "positivity": POSITIVITY_TOL,
+    "kappa_normalization": KAPPA_NORMALIZATION_TOL,
 }
 
-
-def _internal(spec) -> tuple[Spin, Spin]:
-    return Spin(0), as_spin(spec.get("internal_max", "4"))
-
-
-_FOAM_BUILDERS = {
-    "single_vertex": lambda spec: single_vertex_foam(),
-    "disconnected_pair": lambda spec: disconnected_pair_foam(),
-    "bridged_pair": lambda spec: bridged_pair_foam(internal_range=_internal(spec)),
-    "cascade_pair": lambda spec: cascade_pair_foam(internal_range=_internal(spec)),
-    "chain": lambda spec: chain_foam(spec.get("vertices", 2), internal_range=_internal(spec)),
-}
+_FOAMS = {"single_vertex": single_vertex_foam, "disconnected_pair": disconnected_pair_foam,
+          "bridged_pair": bridged_pair_foam, "cascade_pair": cascade_pair_foam,
+          "chain": chain_foam}
 
 _SPIN = 'a spin such as 2 or "5/2"'
-
-DEFAULTS = {
-    "normalization": "over_n",
-    "jmax": "2",
-    "energy_scale": 1.0,
-    "coherences": [],
-}
+_LINKS = "a list of integer link indices"
 
 
 class ScenarioError(ValueError):
     """Configuration failed validation."""
 
 
-def _number(value, kinds=(int, float)) -> bool:
-    """A finite JSON number of one of ``kinds``; true and false are not numbers."""
-    return isinstance(value, kinds) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _spin(value) -> bool:
+def _field(name: str, what: str, value, parse):
+    """``parse(value)``, or a ScenarioError naming the field when it fails."""
     try:
-        as_spin(value)
-    except (TypeError, ValueError, ArithmeticError):
-        return False
-    return True
+        return parse(value)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, ArithmeticError, LookupError):
+        raise ScenarioError(f"{name} must be {what}, got {value!r}") from None
 
 
-def _require(ok: bool, field: str, what: str, value) -> None:
-    if not ok:
-        raise ScenarioError(f"{field} must be {what}, got {value!r}")
+def _of(kinds):
+    def parse(value):
+        if not isinstance(value, kinds):
+            raise TypeError(value)
+        return value
+    return parse
+
+
+_list, _mapping, _string, _number = _of((list, tuple)), _of(Mapping), _of(str), _of((int, float))
+
+
+def _integer(value, least=-math.inf, below=math.inf) -> int:
+    """A JSON integer in [least, below); true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, int) or not least <= value < below:
+        raise ValueError(value)
+    return value
+
+
+def _real(value, above=-math.inf) -> float:
+    """A finite JSON number > ``above``, as a float; true and false are not numbers."""
+    if isinstance(value, bool) or not above < _number(value) < math.inf:
+        raise ValueError(value)
+    return float(value)
+
+
+def _positive(value) -> float:
+    return _real(value, 0.0)
+
+
+def _complex(value) -> complex:
+    """A number, or [re] or [re, im]."""
+    parts = value if isinstance(value, (list, tuple)) else [value]
+    if not 1 <= len(parts) <= 2:
+        raise ValueError(value)
+    return complex(*map(_real, parts))
+
+
+def _links(value) -> tuple[int, ...]:
+    return tuple(map(_integer, _list(value)))
+
+
+def _index_pair(value, dim: int) -> tuple[int, int]:
+    i, j = _list(value)
+    return _integer(i, 0, dim), _integer(j, 0, dim)
+
+
+def _label(value) -> Spin | tuple[Spin, ...]:
+    """A pr3d basis label: one spin, or a list of slot spins."""
+    return tuple(map(as_spin, value)) if isinstance(value, (list, tuple)) else as_spin(value)
+
+
+def _link_map(name: str, value, what: str, parse) -> dict:
+    """A JSON object from link indices to values, each read by ``parse``."""
+    links = _field(name, "a JSON object keyed by link indices", value,
+                   lambda v: {int(link): x for link, x in _mapping(v).items()})
+    return {link: _field(f"{name}['{link}']", what, x, parse) for link, x in links.items()}
+
+
+def _bath(spec) -> BoundaryState | TiedGaussianBath | None:
+    if spec is None:
+        return None
+    kind = spec.get("kind") if isinstance(spec, Mapping) else None
+    if kind == "gaussian":  # a centre is a number or a spin, read as a float
+        return BoundaryState.gaussian(_link_map(
+            "bath.centers", spec.get("centers"), "a number > 0 or a spin",
+            lambda v: _positive(float(as_spin(v).j) if isinstance(v, str) else v)))
+    if kind == "delta":
+        return BoundaryState.delta(
+            _link_map("bath.assignment", spec.get("assignment"), _SPIN, as_spin))
+    if kind == "superposition":
+        terms = _field("bath.terms", "a list of JSON objects", spec.get("terms"),
+                       lambda v: list(map(_mapping, _list(v))))
+        return BoundaryState.superposition([
+            (_field(f"bath.terms[{i}].weight", "a number or [re, im]", t.get("weight", 1.0),
+                    _complex),
+             _link_map(f"bath.terms[{i}].assignment", t.get("assignment"), _SPIN, as_spin))
+            for i, t in enumerate(terms)])
+    if kind == "gaussian_tied":
+        return TiedGaussianBath(_field("bath.in", _LINKS, spec.get("in", []), _links),
+                                _field("bath.out", _LINKS, spec.get("out", []), _links))
+    raise ScenarioError(f"unknown bath kind {kind!r} in bath.kind")
 
 
 def _check_kappa_table(table, basis) -> None:
@@ -118,100 +185,142 @@ def _check_kappa_table(table, basis) -> None:
         )
     for n, row in enumerate(table):
         for m, cell in enumerate(row):
-            if not _number(cell):
+            finite = isinstance(cell, (int, float)) and abs(cell) <= sys.float_info.max
+            if isinstance(cell, bool) or not finite:
                 raise ScenarioError(f"kappa[{n}][{m}] is not a finite number: {cell!r}")
-    if basis is not None and len(basis) != len(table):
+    if isinstance(basis, (list, tuple)) and len(basis) != len(table):
         raise ScenarioError(
             f"kappa is {len(table)} x {len(table)} but basis has {len(basis)} labels"
         )
 
 
-@dataclass
+def _initial_state(spec, basis) -> np.ndarray:
+    """rho0 of a basis label, a superposition of labels or a density matrix."""
+    basis, dim = list(basis), len(basis)
+    if isinstance(spec, Mapping) and "superposition" in spec:
+        return _field("evolution.initial.superposition",
+                      f"a list of [label, re] or [label, re, im] over {basis}, not all zero",
+                      spec["superposition"], lambda terms: _superposition(terms, basis))
+    if isinstance(spec, Mapping) and "matrix" in spec:
+        return _field("evolution.initial.matrix", f"a {dim} x {dim} matrix of numbers or [re, im]",
+                      spec["matrix"], lambda rows: _matrix(rows, dim))
+    return _field("evolution.initial", f"one of {basis}, a superposition or a matrix", spec,
+                  lambda label: _superposition([[label, 1.0]], basis))
+
+
+def _superposition(terms, basis) -> np.ndarray:
+    amplitudes = [0.0] * len(basis)
+    for label, *weight in _list(terms):
+        amplitudes[basis.index(_string(label))] = _complex(weight)
+    return state_from_amplitudes(amplitudes)
+
+
+def _matrix(rows, dim) -> np.ndarray:
+    rho = np.array([[_complex(cell) for cell in _list(row)] for row in _list(rows)], dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError(rho.shape)
+    return rho
+
+
+@dataclass(eq=False)
 class ScenarioConfig:
-    """Validated scenario with every default made explicit."""
+    """A scenario's run inputs, parsed once from ``raw``, the config with its defaults.
+
+    Kappa comes from ``provider`` over ``labels``, ``asymptotic`` or ``kappa_rows``.
+    """
 
     raw: dict
+    basis: tuple[str, ...]
+    normalization: str
+    evolution: EvolutionConfig
+    rho0: np.ndarray
+    coherences: tuple[tuple[int, int], ...]
+    spectrum: EnergySpectrum | None
+    provider: FoamProvider | None = None
+    labels: tuple = ()
+    asymptotic: tuple[float, float, AsymptoticParams] | None = None
+    kappa_rows: np.ndarray | None = None
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "ScenarioConfig":
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"a scenario config must be a JSON object, got {type(data).__name__}"
-            )
-        cfg = dict(data)
-        backend = cfg.get("backend")
-        _require(backend in ("pr3d", "asymptotic", "explicit_kappa"), "backend",
-                 "pr3d, asymptotic or explicit_kappa", backend)
-        for key, value in DEFAULTS.items():
-            cfg.setdefault(key, value)
+        cfg = dict(_field("a scenario config", "a JSON object", data, _mapping))
+        backends = ("pr3d", "asymptotic", "explicit_kappa")
+        backend = backends[_field("backend", "pr3d, asymptotic or explicit_kappa",
+                                  cfg.get("backend"), backends.index)]
         if "evolution" not in cfg:
             raise ScenarioError("scenario needs an evolution block")
-        _require(isinstance(cfg["evolution"], Mapping), "evolution", "a JSON object",
-                 cfg["evolution"])
-        evo = {"g": 0.5, "steps": 200, **cfg["evolution"]}
-        steps, g = evo["steps"], evo["g"]
-        _require(_number(steps, int) and steps >= 0, "evolution.steps", "an integer >= 0", steps)
-        _require(_number(g) and g > 0, "evolution.g", "a finite number > 0", g)
-        if "initial" not in evo:
-            raise ScenarioError("evolution block needs an initial state")
-        cfg["evolution"] = evo
-        _require(_spin(cfg["jmax"]), "jmax", _SPIN, cfg["jmax"])
-        scale = cfg["energy_scale"]
-        _require(_number(scale) and scale > 0, "energy_scale", "a finite number > 0", scale)
+        evo = cfg["evolution"] = {
+            "g": 0.5, "steps": 200,
+            **_field("evolution", "a JSON object", cfg["evolution"], _mapping),
+        }
+        evolution = EvolutionConfig(
+            g=_field("evolution.g", "a finite number > 0", evo["g"], _positive),
+            steps=_field("evolution.steps", "an integer >= 0", evo["steps"],
+                         lambda v: _integer(v, 0)),
+        )
+        jmax = _field("jmax", _SPIN, cfg.setdefault("jmax", "2"), as_spin)
+        scale = _field("energy_scale", "a finite number > 0", cfg.setdefault("energy_scale", 1.0),
+                       _positive)
+        conventions = ("over_n",) if backend == "asymptotic" else ("over_n", "over_m")
+        normalization = conventions[_field(
+            "normalization", f"{' or '.join(conventions)} for {backend}",
+            cfg.setdefault("normalization", "over_n"), conventions.index)]
+        source: dict[str, Any] = {}
         if backend == "pr3d":
-            for key in ("basis", "foam", "in_links", "out_links"):
-                if key not in cfg:
-                    raise ScenarioError(f"pr3d backend needs {key!r}")
-            foam = cfg["foam"]
+            foam = cfg.get("foam")
             kind = foam.get("kind") if isinstance(foam, Mapping) else None
-            if kind not in _FOAM_BUILDERS:
-                raise ScenarioError(f"unknown foam kind {kind!r}")
-            _require("internal_max" not in foam or _spin(foam["internal_max"]),
-                     "foam.internal_max", _SPIN, foam.get("internal_max"))
-            vertices = foam.get("vertices", 2)
-            _require(kind != "chain" or (_number(vertices, int) and vertices >= 2),
-                     "foam.vertices", "an integer >= 2", vertices)
-            for key in ("in_links", "out_links"):
-                links = cfg[key]
-                _require(isinstance(links, (list, tuple)) and all(_number(l, int) for l in links),
-                         key, "a list of integer link indices", links)
-            for i, label in enumerate(cfg["basis"]):
-                spins = label if isinstance(label, (list, tuple)) else [label]
-                _require(all(map(_spin, spins)), f"basis[{i}]", _SPIN, label)
+            if not isinstance(kind, str) or kind not in _FOAMS:
+                raise ScenarioError(f"unknown foam kind {kind!r} in foam.kind")
+            internal = (Spin(0), _field("foam.internal_max", _SPIN, foam.get("internal_max", "4"),
+                                        as_spin))
+            if kind == "chain":
+                vertices = _field("foam.vertices", "an integer >= 2", foam.get("vertices", 2),
+                                  lambda v: _integer(v, 2))
+                foam = chain_foam(vertices, internal)
+            elif kind in ("bridged_pair", "cascade_pair"):
+                foam = _FOAMS[kind](internal)
+            else:
+                foam = _FOAMS[kind]()
+            source["provider"] = FoamProvider(
+                foam, _field("in_links", _LINKS, cfg.get("in_links"), _links),
+                _field("out_links", _LINKS, cfg.get("out_links"), _links),
+                _field("bath", "a bath block of nonzero terms over one link set",
+                       cfg.get("bath"), _bath), jmax)
         elif backend == "asymptotic":
-            block = cfg.get("asymptotic")
-            if not isinstance(block, Mapping) or not {"lambda1", "lambda2"} <= block.keys():
-                raise ScenarioError("asymptotic backend needs lambda1 and lambda2")
-            block = {"alpha": 0.0, "gamma_immirzi": 1.0, "regge_action": 1.0,
-                     "n_plus_abs": 1.0, **block}
-            for key in ("lambda1", "lambda2", "gamma_immirzi", "regge_action", "n_plus_abs"):
-                _require(_number(block[key]), f"asymptotic.{key}", "a finite number", block[key])
-            alpha = block["alpha"]
-            parts = alpha if isinstance(alpha, (list, tuple)) else [alpha]
-            _require(1 <= len(parts) <= 2 and all(map(_number, parts)),
-                     "asymptotic.alpha", "a number or [re, im]", alpha)
-            cfg["asymptotic"] = block
+            block = cfg["asymptotic"] = {
+                "alpha": 0.0, "gamma_immirzi": 1.0, "regge_action": 1.0, "n_plus_abs": 1.0,
+                **_field("asymptotic", "a JSON object", cfg.get("asymptotic"), _mapping),
+            }
+            numbers = {key: _field(f"asymptotic.{key}", "a finite number > 0", block.get(key),
+                                   _positive) for key in ("lambda1", "lambda2", "n_plus_abs")}
+            numbers.update({key: _field(f"asymptotic.{key}", "a finite number", block[key], _real)
+                            for key in ("gamma_immirzi", "regge_action")})
+            alpha = _field("asymptotic.alpha", "a number or [re, im]", block["alpha"], _complex)
+            source["asymptotic"] = (numbers.pop("lambda1"), numbers.pop("lambda2"),
+                                    AsymptoticParams(alpha=alpha, **numbers))
             cfg.setdefault("basis", ["1", "2"])
         else:
-            if "kappa" not in cfg:
-                raise ScenarioError("explicit_kappa backend needs a kappa table")
-            _check_kappa_table(cfg["kappa"], cfg.get("basis"))
+            _check_kappa_table(cfg.get("kappa"), cfg.get("basis"))
+            source["kappa_rows"] = np.asarray(cfg["kappa"], dtype=float)
             cfg.setdefault("basis", [str(i) for i in range(len(cfg["kappa"]))])
-        dim = len(cfg["basis"])
-        coherences = cfg["coherences"]
-        _require(isinstance(coherences, (list, tuple)), "coherences", "a list of index pairs",
-                 coherences)
-        for pair in coherences:
-            if not (
-                isinstance(pair, (list, tuple))
-                and len(pair) == 2
-                and all(_number(i, int) and 0 <= i < dim for i in pair)
-            ):
-                raise ScenarioError(
-                    f"coherences entry {pair!r} is not a pair of basis indices "
-                    f"in [0, {dim})"
-                )
-        return cls(cfg)
+        what, parse = (_SPIN, _label) if backend == "pr3d" else ("a string", _string)
+        basis = tuple(_field(f"basis[{i}]", what, label, parse) for i, label
+                      in enumerate(_field("basis", "a list of labels", cfg.get("basis"), _list)))
+        if backend == "asymptotic" and len(basis) != 2:
+            raise ScenarioError(f"basis must be two labels for asymptotic, got {cfg['basis']!r}")
+        if backend == "pr3d":
+            source["labels"], basis = basis, tuple(map(label_str, basis))
+        pairs = cfg.setdefault("coherences", [])
+        coherences = tuple(
+            _field(f"coherences[{k}]", f"a pair of basis indices in [0, {len(basis)})", pair,
+                   lambda v: _index_pair(v, len(basis)))
+            for k, pair in enumerate(_field("coherences", "a list of index pairs", pairs, _list)))
+        try:  # energy levels when the labels are distinct single spins
+            spectrum = EnergySpectrum(tuple(map(as_spin, source.get("labels", basis))), scale)
+        except (ValueError, TypeError, ArithmeticError):
+            spectrum = None
+        return cls(cfg, basis, normalization, evolution, _initial_state(evo.get("initial"), basis),
+                   coherences, spectrum, **source)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -221,108 +330,53 @@ class ScenarioConfig:
     def __getitem__(self, key):
         return self.raw[key]
 
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
+
+# A fit config's fields: key, default, what it must be, its parse.  Other keys are ignored.
+_FIT_FIELDS = (
+    ("vertices", 2, "an integer", _integer),
+    ("dim", 10, "an integer", _integer),
+    ("basis_seed", 0, "an integer", _integer),
+    ("seed", 0, "a non-negative integer", lambda v: _integer(v, 0)),
+    ("j_min", "1/2", _SPIN, as_spin),
+    ("j_max", "5/2", _SPIN, as_spin),
+    ("internal_max", "2", _SPIN, as_spin),
+)
 
 
-def _parse_alpha(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1] if len(value) > 1 else 0.0)
-    return complex(value)
+def fit_problem(path: str | Path, seed: int | None = None):
+    """Chain length, basis and fit problem of a fit config; ``seed`` replaces its seed."""
+    from .bathfit import FitProblem, admissible_triple_basis, basis_from_network_file
+    from .bathfit import chain_target, standard_model
 
-
-def _build_bath(spec: Mapping[str, Any]):
-    kind = spec.get("kind")
-    if kind == "gaussian":
-        centers = {int(l): c for l, c in spec["centers"].items()}
-        return BoundaryState.gaussian(centers)
-    if kind == "delta":
-        assignment = {int(l): as_spin(s) for l, s in spec["assignment"].items()}
-        return BoundaryState.delta(assignment)
-    if kind == "superposition":
-        terms = [
-            (_parse_alpha(t.get("weight", 1.0)),
-             {int(l): as_spin(s) for l, s in t["assignment"].items()})
-            for t in spec["terms"]
-        ]
-        return BoundaryState.superposition(terms)
-    if kind == "gaussian_tied":
-        return TiedGaussianBath(spec.get("in", []), spec.get("out", []))
-    raise ScenarioError(f"unknown bath kind {kind!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"a fit config must be a JSON object, got {type(spec).__name__}")
+    if seed is not None:
+        spec["seed"] = seed
+    fit = {key: _field(key, what, spec.get(key, default), parse)
+           for key, default, what, parse in _FIT_FIELDS}
+    if "basis_file" in spec:
+        basis = basis_from_network_file(_field("basis_file", "a file name", spec["basis_file"],
+                                               lambda name: Path(path).resolve().parent / name))
+    else:
+        basis = admissible_triple_basis(fit["dim"], fit["j_min"], fit["j_max"],
+                                        seed=fit["basis_seed"])
+    target = chain_target(fit["vertices"], basis, internal_max=fit["internal_max"],
+                          j_max=fit["j_max"])
+    return fit["vertices"], basis, FitProblem(target, standard_model(basis), seed=fit["seed"])
 
 
 def build_kappa(cfg: ScenarioConfig) -> tuple[KappaMatrix, TransitionMatrix | None]:
-    """Instantiate the scenario's damping matrix (and W when one exists)."""
-    backend = cfg["backend"]
-    if backend == "pr3d":
-        foam = _FOAM_BUILDERS[cfg["foam"]["kind"]](cfg["foam"])
-        labels = list(cfg["basis"])
-        bath_spec = cfg.get("bath")
-        bath = _build_bath(bath_spec) if bath_spec else None
-        provider = FoamProvider(
-            foam,
-            in_links=tuple(cfg["in_links"]),
-            out_links=tuple(cfg["out_links"]),
-            bath=bath,
-            j_max=as_spin(cfg["jmax"]),
-        )
-        W = transition_matrix(provider, labels)
-        return kappa_from_W(W, cfg["normalization"]), W
-    if backend == "asymptotic":
-        block = cfg["asymptotic"]
-        params = AsymptoticParams(
-            gamma_immirzi=float(block["gamma_immirzi"]),
-            regge_action=float(block["regge_action"]),
-            alpha=_parse_alpha(block["alpha"]),
-            n_plus_abs=float(block["n_plus_abs"]),
-        )
-        rho11 = two_level_rho11(
-            float(block["lambda1"]), float(block["lambda2"]), params
-        )
+    """The scenario's damping matrix, and W when the backend has one."""
+    if cfg.provider is not None:
+        W = transition_matrix(cfg.provider, cfg.labels)
+        return kappa_from_W(W, cfg.normalization), W
+    if cfg.asymptotic is not None:
+        rho11 = two_level_rho11(*cfg.asymptotic)
         entries = np.array([[rho11, rho11], [1.0 - rho11, 1.0 - rho11]])
-        basis = tuple(str(b) for b in cfg["basis"])
-        return KappaMatrix(basis, entries, "over_n"), None
-    entries = np.asarray(cfg["kappa"], dtype=float)
-    basis = tuple(str(b) for b in cfg["basis"])
-    return KappaMatrix(basis, entries, cfg["normalization"]), None
-
-
-def _initial_state(spec, basis) -> np.ndarray:
-    dim = len(basis)
-    if isinstance(spec, str):
-        if spec not in basis:
-            raise ScenarioError(f"initial state {spec!r} is not a basis label")
-        amps = [1.0 if b == spec else 0.0 for b in basis]
-        return state_from_amplitudes(amps)
-    if isinstance(spec, Mapping) and "superposition" in spec:
-        amps = [0.0] * dim
-        for term in spec["superposition"]:
-            label = str(term[0])
-            if label not in basis:
-                raise ScenarioError(f"initial state label {label!r} unknown")
-            weight = complex(term[1], term[2] if len(term) > 2 else 0.0)
-            amps[basis.index(label)] = weight
-        return state_from_amplitudes(amps)
-    if isinstance(spec, Mapping) and "matrix" in spec:
-        rows = spec["matrix"]
-        rho = np.array(
-            [[_parse_alpha(cell) for cell in row] for row in rows], dtype=complex
-        )
-        if rho.shape != (dim, dim):
-            raise ScenarioError("initial matrix dimension mismatch")
-        return rho
-    raise ScenarioError("initial state must be a label, superposition, or matrix")
-
-
-def _spectrum(cfg: ScenarioConfig, basis) -> EnergySpectrum | None:
-    """Energy levels from single-spin basis labels, when they are spins."""
-    try:
-        spins = tuple(as_spin(b) for b in basis)
-    except (ValueError, TypeError):
-        return None
-    if len(set(spins)) != len(spins):
-        return None
-    return EnergySpectrum(spins, scale=float(cfg.get("energy_scale", 1.0)))
+        return KappaMatrix(cfg.basis, entries, cfg.normalization), None
+    return KappaMatrix(cfg.basis, cfg.kappa_rows, cfg.normalization), None
 
 
 def _column(values) -> Iterator[str]:
@@ -439,19 +493,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
             write_output(out / "W.csv", matrix_csv(W), report)
         write_output(out / "kappa.csv", matrix_csv(kappa), report)
 
-        evo = cfg["evolution"]
-        rho0 = _initial_state(evo["initial"], basis)
-        traj = evolve_effective(
-            kappa,
-            EvolutionConfig(g=float(evo["g"]), steps=evo["steps"]),
-            rho0,
-        )
+        traj = evolve_effective(kappa, cfg.evolution, cfg.rho0)
         write_output(
-            out / "trajectory.csv", trajectory_csv(traj, basis, cfg["coherences"]), report
+            out / "trajectory.csv", trajectory_csv(traj, basis, cfg.coherences), report
         )
         report["clamped_eigenvalues"] = traj.clamped
 
-        spec = _spectrum(cfg, basis)
+        spec = cfg.spectrum
         if spec is not None:
             energies = energy_expectations(traj, spec)
             write_output(out / "observables.csv", observables_csv(traj, spec, energies), report)

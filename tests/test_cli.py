@@ -137,12 +137,44 @@ def _chain(cfg):
         ("two_level_asymptotic", lambda c: c["asymptotic"].update(alpha=[1.0, False]),
          "asymptotic.alpha must be a number or [re, im]"),
         ("explicit_kappa_identity", lambda c: c.update(jmax="abc"), "jmax must be a spin"),
+        ("cascade_pr3d", lambda c: c["bath"]["centers"].update({"7": True}),
+         "bath.centers['7'] must be a number > 0 or a spin, got True"),
+        ("cascade_pr3d", lambda c: c["bath"]["centers"].update({"7.9": 0.03}),
+         "bath.centers must be a JSON object keyed by link indices"),
+        ("cascade_pr3d", lambda c: c.update(bath={"kind": "delta", "assignment": {"1": True}}),
+         "bath.assignment['1'] must be a spin"),
+        ("cascade_pr3d", lambda c: c.update(bath={"kind": "gauss"}), "unknown bath kind 'gauss'"),
+        ("disconnected_eq20", lambda c: c["bath"].update({"in": [1.5, 2, 3, 4, 5]}),
+         "bath.in must be a list of integer link indices"),
+        ("disconnected_eq20",
+         lambda c: c["evolution"]["initial"]["superposition"][0].__setitem__(1, True),
+         "evolution.initial.superposition must be"),
+        ("disconnected_eq20",
+         lambda c: c["evolution"]["initial"]["superposition"].__setitem__(0, ["2"]),
+         "evolution.initial.superposition must be"),
+        ("explicit_kappa_identity",
+         lambda c: c["evolution"]["initial"]["matrix"][0].__setitem__(0, True),
+         "evolution.initial.matrix must be a 2 x 2 matrix"),
+        ("cascade_pr3d", lambda c: c["evolution"].update(initial="7"),
+         "evolution.initial must be one of ['0', '1', '2']"),
+        ("two_level_asymptotic", lambda c: c.update(normalization="over_m"),
+         "normalization must be over_n for asymptotic, got 'over_m'"),
+        ("cascade_pr3d", lambda c: c.update(normalization=5),
+         "normalization must be over_n or over_m for pr3d, got 5"),
+        ("two_level_asymptotic", lambda c: c.update(basis=["1", "2", "3"]),
+         "basis must be two labels for asymptotic, got ['1', '2', '3']"),
+        ("two_level_asymptotic", lambda c: c.update(basis=["1", True]),
+         "basis[1] must be a string, got True"),
     ],
     ids=[
         "energy_scale_bool", "energy_scale_zero", "in_links_float", "out_links_bool",
         "vertices_float", "internal_max_bool", "basis_bool", "basis_tuple_label",
         "jmax_bool", "jmax_zero_denominator", "foam_list", "lambda1_bool",
-        "regge_action_str", "alpha_bool", "jmax_any_backend",
+        "regge_action_str", "alpha_bool", "jmax_any_backend", "center_bool",
+        "center_key_fraction", "delta_spin_bool", "bath_kind", "tied_link_float",
+        "superposition_weight_bool", "superposition_term_short", "matrix_cell_bool",
+        "initial_label", "normalization_asymptotic", "normalization_bogus",
+        "asymptotic_basis_size", "asymptotic_basis_bool",
     ],
 )
 def test_bad_fields_rejected_before_any_output(tmp_path, scenario, edit, message):
@@ -172,6 +204,69 @@ def test_jmax_override_is_checked_like_the_config(tmp_path, capsys):
     assert rc == 1
     assert "ScenarioError: jmax must be a spin" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def _leaves(node, path=()):
+    """The path of every leaf of a JSON value; an empty list is a leaf."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for index, value in enumerate(node):
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path
+
+
+def _edited(data, path, value):
+    edited = json.loads(json.dumps(data))
+    node = edited
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return edited
+
+
+def _field_name(path) -> str:
+    """A leaf's field: its object keys up to the first list index or data key."""
+    names = []
+    for key in path:
+        if not (isinstance(key, str) and key.isidentifier()):
+            break
+        names.append(key)
+    return ".".join(names)
+
+
+FUZZ_VALUES = [True, "x", 1.5, []]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_every_config_leaf_loads_or_is_rejected_by_name(tmp_path, capsys, name):
+    # Each leaf of each shipped config set in turn to each fuzz value: a
+    # scenario loads or raises a ScenarioError, fit and sample end in an exit
+    # status, and a true leaf is rejected with an error naming its field.
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    shutil.copy(SCENARIOS / "fit_basis.net", tmp_path)
+    for path in _leaves(data):
+        for value in FUZZ_VALUES:
+            edited, case = _edited(data, path, value), (path, value)
+            if "backend" in edited:
+                try:
+                    ScenarioConfig.from_mapping(edited)
+                except ScenarioError as exc:
+                    assert value is not True or _field_name(path) in str(exc), (case, str(exc))
+                else:
+                    assert value is not True, case
+                continue
+            config = tmp_path / "fit.json"
+            config.write_text(json.dumps(edited))
+            for command in (["fit"], ["sample", "--n", "10"]):
+                code = main([*command, "--config", str(config), "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                assert code in (0, 1), case
+                if value is True:
+                    assert code == 1 and err.startswith("error: ScenarioError: "), (case, err)
+                    assert _field_name(path) in err, (case, err)
 
 
 def test_coherence_headers_distinct_at_two_digit_indices():
@@ -461,8 +556,9 @@ def test_main_reused_parser_gives_the_outputs_of_fresh_parsers(tmp_path):
         ([[1.0, 0.0], [0.0, 1.0]], ["a", "b", "c"],
          r"kappa is 2 x 2 but basis has 3 labels"),
         ([[1.0, "x"], [0.0, 1.0]], None, r"kappa\[0\]\[1\] is not a finite number: 'x'"),
+        ([[10**400, 0.0], [0.0, 1.0]], None, r"kappa\[0\]\[0\] is not a finite number: 1000"),
     ],
-    ids=["ragged", "non_square", "basis_size", "non_numeric"],
+    ids=["ragged", "non_square", "basis_size", "non_numeric", "beyond_float"],
 )
 def test_bad_kappa_table_rejected_before_any_output(tmp_path, capsys, kappa, basis, message):
     data = {
@@ -566,12 +662,18 @@ def _fit_config(tmp_path, **changes):
         ("missing", r"FileNotFoundError: .*no_such\.json"),
         ("directory", "IsADirectoryError: "),
         ("not_json", "JSONDecodeError: "),
-        ("seed_flag", "ValueError: seed must be a non-negative integer, got -1"),
-        ("seed_config", "ValueError: seed must be a non-negative integer, got 1.5"),
-        ("vertices", "ValueError: vertices must be an integer, got 2.7"),
-        ("dim", "ValueError: dim must be an integer, got True"),
-        ("basis_seed", "ValueError: basis_seed must be an integer, got '0'"),
-        ("not_object", "ValueError: a fit config must be a JSON object, got list"),
+        ("seed_flag", "ScenarioError: seed must be a non-negative integer, got -1"),
+        ("seed_config", "ScenarioError: seed must be a non-negative integer, got 1.5"),
+        ("vertices", "ScenarioError: vertices must be an integer, got 2.7"),
+        ("dim", "ScenarioError: dim must be an integer, got True"),
+        ("basis_seed", "ScenarioError: basis_seed must be an integer, got '0'"),
+        ("not_object", "ScenarioError: a fit config must be a JSON object, got list"),
+        ("j_max", "ScenarioError: j_max must be a spin"),
+        ("internal_max", "ScenarioError: internal_max must be a spin"),
+        ("internal_max_str", "ScenarioError: internal_max must be a spin"),
+        ("j_min", "ScenarioError: j_min must be a spin"),
+        ("j_min_fraction", "ScenarioError: j_min must be a spin"),
+        ("basis_file", "ScenarioError: basis_file must be a file name, got 5"),
     ],
 )
 def test_cli_fit_and_sample_reject_bad_input_before_any_output(
@@ -594,7 +696,13 @@ def test_cli_fit_and_sample_reject_bad_input_before_any_output(
         cfg = tmp_path / "fit.json"
         cfg.write_text("[2, 6]")
     else:
-        cfg = _fit_config(tmp_path, **{case: {"vertices": 2.7, "dim": True, "basis_seed": "0"}[case]})
+        bad = {
+            "vertices": ("vertices", 2.7), "dim": ("dim", True), "basis_seed": ("basis_seed", "0"),
+            "j_max": ("j_max", True), "internal_max": ("internal_max", True),
+            "internal_max_str": ("internal_max", "x"), "j_min": ("j_min", [1]),
+            "j_min_fraction": ("j_min", 0.7), "basis_file": ("basis_file", 5),
+        }
+        cfg = _fit_config(tmp_path, **dict([bad[case]]))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), *args]) == 1
     captured = capsys.readouterr()

@@ -101,8 +101,9 @@ def lowering(d):
 @st.composite
 def kicked_cases(draw):
     """Random pure starts; no coherent part, a Hamiltonian or a channel; no
-    kick, a random one or ladder decay towards a pure state.  Pure and
-    nearly pure states have round-off eigenvalues that get clamped."""
+    kick, a random one or ladder decay towards a pure state; equally or
+    unequally spaced kicks.  Pure and nearly pure states have round-off
+    eigenvalues that get clamped."""
     d = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
@@ -118,7 +119,11 @@ def kicked_cases(draw):
     dampers = [] if kick == "none" else [
         (draw(st.floats(0.1, 3.0)), lowering(d) if kick == "ladder" else gauss(d, d))
     ]
-    schedule = np.cumsum(rng.uniform(0.1, 1.0, size=draw(st.integers(1, 60))))
+    n_kicks = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        schedule = rng.uniform(0.1, 1.0) * np.arange(1, n_kicks + 1)
+    else:
+        schedule = np.cumsum(rng.uniform(0.1, 1.0, size=n_kicks))
     return H, dampers, schedule, state_from_amplitudes(gauss(d))
 
 
