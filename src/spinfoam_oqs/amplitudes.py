@@ -295,8 +295,12 @@ class TiedGaussianBath:
     out_links: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "in_links", tuple(int(l) for l in self.in_links))
-        object.__setattr__(self, "out_links", tuple(int(l) for l in self.out_links))
+        for name in ("in_links", "out_links"):
+            links = tuple(getattr(self, name))
+            for l in links:
+                if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+                    raise TypeError(f"tied bath {name} must be integer link indices, got {l!r}")
+            object.__setattr__(self, name, tuple(int(l) for l in links))
         if set(self.in_links) & set(self.out_links):
             raise ValueError("a tied bath link cannot follow both labels")
 

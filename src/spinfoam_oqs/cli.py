@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from pathlib import Path
 
@@ -23,10 +24,11 @@ import numpy as np
 def _load_config(path: str, args) -> "ScenarioConfig":
     from .scenario import ScenarioConfig
 
-    cfg = ScenarioConfig.from_file(path)
-    if args.jmax is not None:  # checked like the config's own jmax
-        cfg = ScenarioConfig.from_mapping({**cfg.raw, "jmax": args.jmax})
-    return cfg
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if args.jmax is not None and isinstance(data, dict):  # replaces the file's jmax, then checked
+        data = {**data, "jmax": args.jmax}
+    return ScenarioConfig.from_mapping(data)
 
 
 def _out_dir(args, config_path: str, batch: bool = False) -> Path:

@@ -3,14 +3,14 @@
 Superoperators act on column-vectorized density matrices (Fortran order),
 so vec(A rho B) = (B^T kron A) vec(rho).  Matrix exponentials go through
 scipy's scaling-and-squaring Pade implementation.  Every evolution, the
-cascades of ``qed_reference`` included, makes its states in one loop,
-``_stepped``, which checks the CPTP invariants of every state; eigenvalues
-in (-1e-10, 0) are clamped to zero with renormalization and the clamp
-count is reported on the trajectory, a (steps + 1, d, d) array.  Each
-state's smallest eigenvalue comes from ``block_min_eigenvalues``, which
-works per block of the coherence support; ``_stepped`` decides positivity
-with it and ``Trajectory.min_eigenvalues`` reports it.  A clamp changes the
-stored state, never the state the next step starts from.
+cascades of ``qed_reference`` included, makes its (steps + 1, d, d) stack
+of states in ``_stepped``, which steps them all, then checks the CPTP
+invariants of every state, the initial one included, in one batch.  Its
+one ``block_min_eigenvalues`` call (per block of the coherence support)
+gives the minima that ``Trajectory.min_eigenvalues`` keeps.  Eigenvalues
+in (-1e-10, 0) are clamped to zero with renormalization and counted; a
+clamp changes a stored state after the initial one, never the next step's
+input.
 
 The effective generator sum kappa[n,m] D_{|n><m|} is purely incoherent: it
 is a classical (Pauli) rate equation on the populations, and every
@@ -29,7 +29,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -188,19 +188,16 @@ def hermitian_part(rho: np.ndarray) -> np.ndarray:
     return (rho + np.swapaxes(rho, -1, -2).conj()) / 2
 
 
-def validate_density_matrix(rho: np.ndarray, context: str = "state") -> None:
-    """Raise unless rho passes the checks of ``clamp_density_matrix``."""
-    clamp_density_matrix(rho, context)
-
-
 def clamp_density_matrix(rho: np.ndarray, context: str = "state") -> tuple[np.ndarray, int]:
     """Validate and clamp tiny negative eigenvalues to zero.
 
     Eigenvalues in (-1e-10, 0) are zeroed and the state renormalized; the
     number of clamped eigenvalues is returned.  Anything below -1e-10
-    raises.
+    raises, and so does a non-finite entry.
     """
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise InvariantViolation(f"{context}: state has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > HERMITICITY_TOL:
         raise InvariantViolation(f"{context}: Hermiticity violated ({herm:.2e})")
@@ -283,13 +280,12 @@ class Trajectory:
     states: np.ndarray
     g: float = 1.0
     clamped: int = 0
+    _min_eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
         if states.ndim != 3 or states.shape[1] != states.shape[2]:
-            raise ValueError(
-                f"states must stack square matrices, got shape {states.shape}"
-            )
+            raise ValueError(f"states must stack square matrices, got shape {states.shape}")
         self.states = states
 
     @property
@@ -307,54 +303,58 @@ class Trajectory:
         return np.trace(self.states, axis1=1, axis2=2).real
 
     def min_eigenvalues(self) -> np.ndarray:
-        return block_min_eigenvalues(self.states)
+        """``block_min_eigenvalues`` of the states, read-only; kept after the first read."""
+        if self._min_eigenvalues is None:
+            self._min_eigenvalues = block_min_eigenvalues(self.states)
+        self._min_eigenvalues.flags.writeable = False
+        return self._min_eigenvalues
 
 
-# States are stepped and checked this many at a time; the block bounds the
-# check's temporary arrays.
+# The Hermiticity check and the in-place symmetrization take this many states at a time.
 _BLOCK = 256
 
 
 def _stepped(step, rho0: np.ndarray, steps: int, g: float, context: str) -> Trajectory:
     """rho0 and the ``steps`` states after it; ``step(k, previous, out)`` writes state k.
 
-    States are stepped ``_BLOCK`` at a time and checked in one batch:
-    Hermiticity, trace, and each state's smallest eigenvalue from
-    ``block_min_eigenvalues``.  A state that fails a check or has a negative
-    eigenvalue goes through ``clamp_density_matrix`` (as ``"{context} {k}"``),
-    which raises or clamps.  The Hermitian part is stored; the raw state
-    always feeds the next step.
+    All states are stepped, each from the raw one before it, then checked in
+    one batch: Hermiticity on the raw states (a non-finite entry fails it),
+    trace and the smallest eigenvalue (one ``block_min_eigenvalues`` call)
+    on the stored ones, rho0 as given and the Hermitian parts after it.  The
+    states that fail a check or have a negative eigenvalue go through
+    ``clamp_density_matrix`` in step order, as ``"initial state"`` or
+    ``"{context} {k}"``; it raises at the first invalid one.  A clamp
+    replaces a stored state after rho0; with none, the minima are kept.
     """
-    validate_density_matrix(rho0, "initial state")
-    shape = np.shape(rho0)
-    states = np.empty((steps + 1,) + shape, dtype=complex)
+    states = np.empty((steps + 1,) + np.shape(rho0), dtype=complex)
     states[0] = rho0
+    herm = np.empty(steps + 1)
+    # A map that leaves the valid region (negative rates, say) can make the states
+    # after the first invalid one overflow; they are never reported, so neither is that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            step(k, states[k - 1], states[k])
+        for start in range(0, steps + 1, _BLOCK):
+            chunk, defect = states[start : start + _BLOCK], herm[start : start + _BLOCK]
+            defect[:] = np.abs(chunk - np.swapaxes(chunk, 1, 2).conj()).max(axis=(1, 2))
+            # rho0 is stored as given, and a non-Hermitian state raw, for
+            # clamp_density_matrix to report its defect.
+            symmetrize = (defect <= HERMITICITY_TOL) & (np.arange(start, start + len(chunk)) > 0)
+            chunk[symmetrize] = hermitian_part(chunk[symmetrize])
+        trace_defect = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    valid = (herm <= HERMITICITY_TOL) & (trace_defect <= TRACE_TOL)
+    checked = np.append(valid, False).argmin()  # the first invalid state, or steps + 1
+    lows = block_min_eigenvalues(states[:checked])
     clamp_total = 0
-    state = states[0]
-    for start in range(1, steps + 1, _BLOCK):
-        raw = np.empty((min(_BLOCK, steps + 1 - start),) + shape, dtype=complex)
-        # A map that leaves the valid region (a rate table with negative
-        # entries, say) can make the states after the first invalid one
-        # overflow; a per-step loop never made them, so no warning is shown.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(len(raw)):
-                step(start + k, state, raw[k])
-                state = raw[k]
-            sym = hermitian_part(raw)
-            herm = np.abs(raw - np.swapaxes(raw, 1, 2).conj()).max(axis=(1, 2))
-            trace_defect = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
-        states[start : start + len(raw)] = sym
-        valid = (herm <= HERMITICITY_TOL) & (trace_defect <= TRACE_TOL)
-        # clamp_density_matrix raises at the first invalid state, so the
-        # states after it (possibly not finite) need no eigenvalues.
-        checked = len(raw) if valid.all() else int(valid.argmin())
-        lows = np.full(len(raw), -np.inf)
-        lows[:checked] = block_min_eigenvalues(raw[:checked])
-        for k in np.flatnonzero(lows < 0):
-            rho, clamped = clamp_density_matrix(raw[k], f"{context} {start + k}")
+    # The states with a negative eigenvalue, then the first invalid one.
+    for k in np.flatnonzero(np.append(lows < 0, checked <= steps)):
+        rho, clamped = clamp_density_matrix(states[k], f"{context} {k}" if k else "initial state")
+        if k and clamped:
             clamp_total += clamped
-            states[start + k] = rho
-    return Trajectory(states, g=g, clamped=clamp_total)
+            states[k] = rho
+    traj = Trajectory(states, g=g, clamped=clamp_total)
+    traj._min_eigenvalues = None if clamp_total else lows
+    return traj
 
 
 def evolve_continuous(L: Superoperator, rho0: np.ndarray, t: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import expm
 
 from .lindblad import Trajectory
 from .recoupling import Spin, as_spin
@@ -247,7 +246,7 @@ def thermal_flow_check(rho: np.ndarray, s: float) -> tuple[float, float]:
     logs = np.zeros_like(vals)
     logs[keep] = -np.log(vals[keep])
     K = (vecs * logs) @ vecs.conj().T
-    flow = expm(1j * s * K)
+    flow = (vecs * np.exp(1j * s * logs)) @ vecs.conj().T  # e^{isK} from K's eigenbasis
     flow_residual = float(np.linalg.norm(flow @ rho @ flow.conj().T - rho))
     commutator = float(np.linalg.norm(K @ rho - rho @ K))
     return flow_residual, commutator

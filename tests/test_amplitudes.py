@@ -188,6 +188,17 @@ def test_callable_bath_is_rejected_at_construction():
     assert "bath" in str(err.value)
 
 
+def test_tied_bath_rejects_link_indices_that_are_not_integers():
+    for in_links, out_links, bad in (
+        ([1.5, 2], [7], "1.5"), ([1], [7.9], "7.9"), ([True], [3], "True"), ([1], ["3"], "'3'"),
+    ):
+        with pytest.raises(TypeError, match=f"must be integer link indices, got {bad}$"):
+            TiedGaussianBath(in_links, out_links)
+    bath = TiedGaussianBath(np.array([1, 2]), [np.int64(7)])
+    assert (bath.in_links, bath.out_links) == ((1, 2), (7,))
+    assert all(type(l) is int for l in bath.links)
+
+
 def test_tied_bath_rejects_tuple_labels():
     bath = TiedGaussianBath((1, 2), (4, 5))
     provider = FoamProvider(single_vertex_foam(), (0,), (3,), bath=bath, j_max=2)

@@ -206,6 +206,23 @@ def test_jmax_override_is_checked_like_the_config(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_jmax_override_replaces_a_bad_jmax_in_the_file(tmp_path):
+    # The override goes into the config before it is checked, so the file's
+    # own jmax is never parsed.
+    config = json.loads((SCENARIOS / "cascade_pr3d.json").read_text())
+    config["jmax"] = "abc"
+    path = tmp_path / "bad_jmax.json"
+    path.write_text(json.dumps(config))
+    rc = main(["evolve", "--config", str(path), "--jmax", "2", "--out", str(tmp_path / "e")])
+    assert rc == 0
+    report = json.loads((tmp_path / "e" / "report.json").read_text())
+    assert report["status"] == "ok" and report["config"]["jmax"] == "2"
+    good = tmp_path / "good"
+    assert main(["evolve", "--config", str(SCENARIOS / "cascade_pr3d.json"), "--out", str(good)]) == 0
+    for name in ("W.csv", "kappa.csv", "trajectory.csv"):
+        assert (tmp_path / "e" / name).read_bytes() == (good / name).read_bytes()
+
+
 def _leaves(node, path=()):
     """The path of every leaf of a JSON value; an empty list is a leaf."""
     if isinstance(node, dict):

@@ -639,6 +639,26 @@ def test_clamp_rejects_large_negative():
         clamp_density_matrix(rho)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_clamp_rejects_a_non_finite_state(bad):
+    # A NaN compares False against every tolerance; it must still fail.
+    with pytest.raises(InvariantViolation, match="^initial state: state has non-finite entries"):
+        clamp_density_matrix(np.full((2, 2), bad), "initial state")
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        clamp_density_matrix(rho)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_evolve_effective_raises_at_the_first_nan_step():
+    # expm of this rate matrix is all NaN, so step 1 is the first bad state;
+    # the coherence decay factors overflow on the way.
+    kappa = np.array([[0.0, 1e300], [-1e300, 0.0]])
+    with pytest.raises(InvariantViolation, match="^step 1: state has non-finite entries"):
+        evolve_effective(kappa, EvolutionConfig(g=1.0, steps=3), pure_state(2, 1))
+
+
 def test_evolution_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(g=0.0, steps=5)

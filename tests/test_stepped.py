@@ -1,14 +1,17 @@
 """``evolve_kicked`` and the QED cascades against their per-step references.
 
-Both make their states through ``lindblad._stepped``, which checks a block
-of states at once and clamps only the states with a negative eigenvalue.
+Both make their states through ``lindblad._stepped``, which checks all
+states at once and clamps only the states with a negative eigenvalue.
 Their earlier per-step loops are kept here as references: each sent every
 state through ``clamp_density_matrix`` and fed a clamped (kicked: the
 Hermitian part) state into the next step, where ``_stepped`` always feeds
 the raw state.  The two differ by round-off only, so states are compared
-within 1e-13; where nothing is clamped the cascade is bit-identical.
+within 1e-13; where nothing is clamped the cascade is bit-identical.  The
+last section checks that every caller of ``_stepped`` checks each state
+once, rho0 included, and keeps the minima of that check.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -17,17 +20,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinfoam_oqs import qed_reference
+from spinfoam_oqs import lindblad, qed_reference
+from spinfoam_oqs.amplitudes import KappaMatrix
 from spinfoam_oqs.lindblad import (
+    EvolutionConfig,
+    InvariantViolation,
     Superoperator,
     Trajectory,
+    block_min_eigenvalues,
     clamp_density_matrix,
     dissipator_matrix,
+    evolve_continuous,
+    evolve_effective,
     evolve_kicked,
     generator,
+    pure_state,
     state_from_amplitudes,
     unvec,
-    validate_density_matrix,
     vec,
 )
 from spinfoam_oqs.qed_reference import (
@@ -41,7 +50,7 @@ from spinfoam_oqs.qed_reference import (
 def per_step_kicked(coherent, dampers, schedule, rho0):
     """One full clamp per kick; the clamped Hermitian part feeds the next."""
     times = [float(t) for t in schedule]
-    validate_density_matrix(rho0, "initial state")
+    clamp_density_matrix(rho0, "initial state")
     dampers = [(float(r), np.asarray(R, dtype=complex)) for r, R in dampers]
     kick = None
     if dampers:
@@ -217,3 +226,131 @@ def test_kicked_cases_include_clamps():
 
     tally()
     assert seen["clamped"] > 0, seen
+
+
+# --- one batched check per evolution ---------------------------------------------
+
+
+def assert_kept_minima(traj):
+    """The minima the trajectory returns are ``block_min_eigenvalues`` of its
+    states, bit for bit, whether ``_stepped`` kept them or not."""
+    kept = traj._min_eigenvalues is not None
+    assert kept == (traj.clamped == 0)
+    assert traj.min_eigenvalues().tobytes() == block_min_eigenvalues(traj.states).tobytes()
+
+
+@contextmanager
+def counted(name):
+    """The (arguments, result) of each call to ``lindblad.<name>`` in the block."""
+    calls = []
+    real = getattr(lindblad, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(lindblad, name, spy):
+        yield calls
+
+
+def test_evolve_effective_keeps_the_minima_of_its_check():
+    rng = np.random.default_rng(5)
+    d = 5
+    raw = rng.uniform(0.05, 1.0, size=(d, d))
+    parity = np.arange(d) % 2
+    two_class = np.where(parity[:, None] == parity[None, :], raw, 0.0)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    mixed = A @ A.conj().T
+    starts = {
+        "pure": pure_state(d, 1),
+        "two_label": state_from_amplitudes([0.0, 0.6, 0.0, 0.8j, 0.0]),
+        "mixed": mixed / np.trace(mixed).real,
+    }
+    for entries in (raw, two_class):
+        kappa = KappaMatrix(tuple("abcde"), entries / entries.sum(axis=0), "over_n")
+        for rho0 in starts.values():
+            with counted("block_min_eigenvalues") as calls:
+                traj = evolve_effective(kappa, EvolutionConfig(0.7, 300), rho0)
+                traj.min_eigenvalues()
+            assert len(calls) == 1 and traj.clamped == 0
+            assert_kept_minima(traj)
+
+
+@given(kicked_cases())
+@settings(max_examples=60, deadline=None)
+def test_kicked_keeps_the_minima_of_its_check(case):
+    assert_kept_minima(evolve_kicked(*case))
+
+
+def test_continuous_keeps_the_minima_of_its_check():
+    L = generator(np.diag([0.0, 1.0]), [(0.5, lowering(2))])
+    with counted("_stepped") as calls:
+        for t in (0.0, 1.5):
+            evolve_continuous(L, state_from_amplitudes([0.6, 0.8j]), t)
+    assert [traj.steps for _, traj in calls] == [0, 1]
+    for _, traj in calls:
+        assert_kept_minima(traj)
+
+
+@pytest.mark.parametrize(
+    "cascade, kwargs", [(dicke_cascade, {}), (cavity_cascade, {"n_photon_levels": 3})]
+)
+def test_cascades_keep_the_minima_of_their_check(cascade, kwargs):
+    cfg = DickeConfig(n_qubits=2, kappa_over_gamma=40.0, t_max=100.0, n_times=300)
+    traj = cascade(cfg, **kwargs).trajectory
+    assert (traj.clamped > 0) == (cascade is cavity_cascade)  # the cavity clamps nearly every state
+    assert_kept_minima(traj)
+
+
+def test_a_pure_start_goes_through_no_clamp():
+    kappa = np.full((3, 3), 1 / 3)
+    with counted("clamp_density_matrix") as calls:
+        evolve_effective(kappa, EvolutionConfig(0.5, 50), pure_state(3, 0))
+    assert calls == []
+
+
+def test_a_round_off_negative_start_is_checked_once_and_not_counted():
+    # The 2x2 block of rho0 has the eigenvalue -1e-13: within tolerance, so
+    # rho0 goes through the clamp once as the initial state, is stored as
+    # given, and adds nothing to the count.  The coherence then decays and
+    # no later state is flagged.
+    rho0 = np.zeros((3, 3), dtype=complex)
+    rho0[:2, :2] = [[0.5, 0.5 + 1e-13], [0.5 + 1e-13, 0.5]]
+    kappa = np.full((3, 3), 1 / 3)
+    with counted("clamp_density_matrix") as calls:
+        traj = evolve_effective(kappa, EvolutionConfig(0.5, 50), rho0)
+    assert [context for (_, context), _ in calls] == ["initial state"]
+    assert traj.clamped == 0 and np.array_equal(traj.states[0], rho0)
+    assert traj.min_eigenvalues()[0] < 0
+    assert_kept_minima(traj)
+
+
+BAD_STARTS = {
+    "non_hermitian": (np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex), "Hermiticity violated"),
+    "trace": (np.diag([0.5, 0.4]).astype(complex), "trace"),
+    "negative": (np.diag([1.2, -0.2]).astype(complex), "negative eigenvalue -0.2"),
+    "nan": (np.full((2, 2), np.nan, dtype=complex), "state has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_STARTS))
+@pytest.mark.parametrize("evolve", ["effective", "kicked", "continuous"])
+def test_a_bad_start_raises_as_the_initial_state(kind, evolve):
+    rho0, message = BAD_STARTS[kind]
+    runs = {
+        "effective": lambda: evolve_effective(np.full((2, 2), 0.5), EvolutionConfig(0.5, 3), rho0),
+        "kicked": lambda: evolve_kicked(None, [(1.0, lowering(2))], [0.5, 1.0], rho0),
+        "continuous": lambda: evolve_continuous(generator(None, [(1.0, lowering(2))]), rho0, 1.0),
+    }
+    with pytest.raises(InvariantViolation, match=f"^initial state: {message}"):
+        runs[evolve]()
+
+
+def test_a_non_hermitian_step_raises_with_its_raw_defect():
+    # A trace-preserving channel that adds 1e-6 rho_00 to rho_01 only: the
+    # first kick breaks Hermiticity, and the report gives the raw defect.
+    leak = np.eye(4, dtype=complex)
+    leak[2, 0] = 1e-6  # vec index of rho_01 is 0 + 2 * 1
+    channel = Superoperator(leak, "channel")
+    with pytest.raises(InvariantViolation, match=r"^kick 1: Hermiticity violated \(1\.00e-06\)$"):
+        evolve_kicked(channel, [], [0.5, 1.0, 1.5], pure_state(2, 0))

@@ -1,10 +1,11 @@
 """Batched trajectory checks and column-wise exports against per-step references.
 
-``evolve_effective`` checks a block of states at once, with each state's
-smallest eigenvalue taken per coherence block, and sends only the states
-that fail a check or have a negative eigenvalue through
-``clamp_density_matrix``; ``trajectory_csv``, ``energy_expectations`` and
-``temperature_series`` work on the whole (steps + 1, d, d) stack.  The
+``evolve_effective`` checks all its states at once, the initial state
+included, with each state's smallest eigenvalue taken per coherence block,
+and sends only the states that fail a check or have a negative eigenvalue
+through ``clamp_density_matrix``; ``trajectory_csv``,
+``energy_expectations`` and ``temperature_series`` work on the whole
+(steps + 1, d, d) stack.  The
 per-step evolution (one full ``clamp_density_matrix`` per step), the
 per-row CSV writer and the per-state estimators are kept here as
 references.  Comparisons are exact, except where only the reference's full
@@ -35,7 +36,6 @@ from spinfoam_oqs.lindblad import (
     hermitian_part,
     pure_state,
     state_from_amplitudes,
-    validate_density_matrix,
 )
 from spinfoam_oqs.observables import (
     EnergySpectrum,
@@ -63,7 +63,7 @@ def per_step_evolve(kappa, g, steps, rho0):
     Returns the stored states and each state's clamp count.
     """
     pop, decay = _rates(kappa)
-    validate_density_matrix(rho0, "initial state")
+    clamp_density_matrix(rho0, "initial state")
     pop_step = expm(g * pop)
     mask = np.exp(-g * decay)
     states = [np.asarray(rho0, dtype=complex).copy()]
@@ -225,6 +225,18 @@ def test_batched_evolution_matches_per_step_reference(case):
     assert_csv_matches(
         trajectory_csv(traj, basis, coherences), per_row_csv(traj.states, g, basis, coherences)
     )
+
+
+@given(evolution_cases())
+@settings(max_examples=100, deadline=None)
+def test_trajectory_keeps_the_minima_of_its_check(case):
+    # Without a clamp the minima come from the check itself; after one they
+    # are computed on first read.  Either way they are the stack's, bit for bit.
+    kappa, rho0, g, steps = case
+    traj, _ = outcome(lambda: evolve_effective(kappa, EvolutionConfig(g, steps), rho0))
+    if traj is not None:
+        assert (traj._min_eigenvalues is None) == (traj.clamped > 0)
+        assert traj.min_eigenvalues().tobytes() == block_min_eigenvalues(traj.states).tobytes()
 
 
 def test_property_cases_include_clamps_and_violations():
