@@ -50,13 +50,11 @@ from .lindblad import (
     kraus_from_map,
     limit_channel,
     steady_states,
-    subspace_relaxer,
 )
 from .observables import (
     EnergySpectrum,
     ObservableSeries,
     area,
-    energy_operator,
     energy_release,
     spectral_temperature,
     thermal_flow_check,

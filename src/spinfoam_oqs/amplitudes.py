@@ -94,10 +94,6 @@ class Foam2Complex:
                 raise ValueError(f"internal face {f} touches no vertex")
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.vertex_faces)
-
-    @property
     def boundary_links(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.boundary_faces.values())))
 

@@ -136,9 +136,6 @@ class FitProblem:
                 )
         object.__setattr__(self, "tables", tables)
 
-    def cost_at(self, params: Sequence[float]) -> float:
-        return cost(self.target.flatten(), self.model.flattened(params))
-
 
 @dataclass(frozen=True)
 class FitResult:

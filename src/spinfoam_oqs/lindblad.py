@@ -217,16 +217,22 @@ def clamp_density_matrix(rho: np.ndarray, context: str = "state") -> tuple[np.nd
     return rho, clamped
 
 
+# The batched state checks take this many states at a time, so that their
+# copies stay small next to the stack.
+_BLOCK = 256
+
+
 def block_min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of each matrix in a stack.
 
     The matrices of the (n, d, d) stack are block-diagonal over the
     connected components of its nonzero off-diagonal pattern: the closed
     classes of that pattern, symmetrized.  Each component size takes one
-    batched ``eigvalsh`` of the blocks' Hermitian parts; a singleton's
+    batched ``eigvalsh`` of the blocks' Hermitian parts per ``_BLOCK``
+    states, so only that many states are copied at once; a singleton's
     eigenvalue is the real part of its diagonal entry, exactly.
     """
-    n, d = stack.shape[:2]
+    n = len(stack)
     coupled = np.any(stack != 0, axis=0)
     by_size: dict[int, list[np.ndarray]] = {}
     for members in _closed_classes(coupled | coupled.T):
@@ -234,14 +240,14 @@ def block_min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     lows = np.full(n, np.inf)
     for size, components in by_size.items():
         idx = np.array(components)
-        if size == 1:
-            vals = stack[:, idx, idx].real
-        elif size == d:
-            vals = np.linalg.eigvalsh(hermitian_part(stack))[:, None]
-        else:
-            blocks = stack[:, idx[:, :, None], idx[:, None, :]]
-            vals = np.linalg.eigvalsh(hermitian_part(blocks))
-        lows = np.minimum(lows, vals.min(axis=(1, 2)))
+        for start in range(0, n, _BLOCK):
+            chunk, low = stack[start : start + _BLOCK], lows[start : start + _BLOCK]
+            if size == 1:
+                vals = chunk[:, idx, idx].real
+            else:
+                blocks = chunk[:, idx[:, :, None], idx[:, None, :]]
+                vals = np.linalg.eigvalsh(hermitian_part(blocks))
+            np.minimum(low, vals.min(axis=(1, 2)), out=low)
     return lows
 
 
@@ -259,10 +265,6 @@ def state_from_amplitudes(amplitudes: Sequence[complex]) -> np.ndarray:
         raise ValueError("zero state vector")
     psi = psi / norm
     return np.outer(psi, psi.conj())
-
-
-def maximally_mixed(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +312,20 @@ class Trajectory:
         return self._min_eigenvalues
 
 
-# The Hermiticity check and the in-place symmetrization take this many states at a time.
-_BLOCK = 256
-
-
 def _stepped(step, rho0: np.ndarray, steps: int, g: float, context: str) -> Trajectory:
     """rho0 and the ``steps`` states after it; ``step(k, previous, out)`` writes state k.
 
     All states are stepped, each from the raw one before it, then checked in
     one batch: Hermiticity on the raw states (a non-finite entry fails it),
     trace and the smallest eigenvalue (one ``block_min_eigenvalues`` call)
-    on the stored ones, rho0 as given and the Hermitian parts after it.  The
-    states that fail a check or have a negative eigenvalue go through
-    ``clamp_density_matrix`` in step order, as ``"initial state"`` or
-    ``"{context} {k}"``; it raises at the first invalid one.  A clamp
-    replaces a stored state after rho0; with none, the minima are kept.
+    on the stored ones.  rho0 is stored as given, and every later state
+    within the Hermiticity tolerance as its Hermitian part, even an exactly
+    Hermitian one: its Hermitian part can differ from it in the sign of a
+    zero entry, which the CSV files print.  The states that fail a check or
+    have a negative eigenvalue go through ``clamp_density_matrix`` in step
+    order, as ``"initial state"`` or ``"{context} {k}"``; it raises at the
+    first invalid one.  A clamp replaces a stored state after rho0; with
+    none, the minima are kept.
     """
     states = np.empty((steps + 1,) + np.shape(rho0), dtype=complex)
     states[0] = rho0
@@ -715,8 +716,11 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
         raise ValueError(
             f"initial state has shape {np.shape(rho0)}, kappa has shape {pop.shape}"
         )
-    pop_step = expm(cfg.g * pop)
-    mask = np.exp(-cfg.g * decay)
+    # Huge or negative raw rates overflow here; the first state they spoil
+    # raises in ``_stepped``.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pop_step = expm(cfg.g * pop)
+        mask = np.exp(-cfg.g * decay)
 
     def step(k, state, out):
         populations = pop_step @ state.diagonal()
@@ -780,38 +784,3 @@ def evolve_kicked(
         out[...] = rho
 
     return _stepped(step, rho0, len(times), times[0] if times else 1.0, "kick")
-
-
-def subspace_relaxer(
-    dim: int,
-    h0_basis: Sequence[int],
-    target: int,
-    rates: Sequence[float] | None = None,
-) -> Superoperator:
-    """Generator whose large-time limit maps every state into the subspace.
-
-    One jump operator |target><v| is placed per basis vector v of the
-    orthogonal complement so that every outside direction is damped (a
-    single summed jump would leave all but one combination untouched).
-    With an empty complement the generator is zero and its limit channel
-    is the identity.
-    """
-    idx = sorted(set(int(i) for i in h0_basis))
-    if target not in idx:
-        raise ValueError("target must lie in the subspace")
-    outside = [k for k in range(dim) if k not in idx]
-    if not outside:
-        return Superoperator(np.zeros((dim * dim, dim * dim), dtype=complex), "generator")
-    if rates is None:
-        rates = [1.0] * len(outside)
-    rates = [float(r) for r in rates]
-    if len(rates) != len(outside):
-        raise ValueError(
-            f"{len(outside)} complement directions need {len(outside)} rates"
-        )
-    dampers = []
-    for rate, v in zip(rates, outside):
-        P = np.zeros((dim, dim), dtype=complex)
-        P[target, v] = 1.0
-        dampers.append((rate, P))
-    return generator(np.zeros((dim, dim)), dampers)

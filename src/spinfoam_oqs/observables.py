@@ -62,11 +62,6 @@ class EnergySpectrum:
         )
 
 
-def energy_operator(spec: EnergySpectrum) -> np.ndarray:
-    """Diagonal energy operator in the level basis."""
-    return np.diag(spec.energies()).astype(complex)
-
-
 @dataclass(frozen=True)
 class ObservableSeries:
     """(step, value) pairs with strictly increasing steps."""
@@ -79,9 +74,6 @@ class ObservableSeries:
             raise ValueError("steps and values must align")
         if any(b <= a for a, b in zip(self.steps, self.steps[1:])):
             raise ValueError("steps must be strictly increasing")
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.steps, dtype=float), np.array(self.values, dtype=float)
 
 
 def _check_dimension(traj: Trajectory, spec: EnergySpectrum) -> None:
@@ -128,26 +120,21 @@ def energy_release(
 
 
 def _spectral_betas(
-    states: np.ndarray,
-    spec: EnergySpectrum,
-    skip_undefined: bool,
-    positivity_floor: float | None = None,
+    states: np.ndarray, spec: EnergySpectrum, strict: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral inverse temperatures over a (k, N, N) stack of states.
 
     Returns the indices of the states where the estimator is defined and
-    their inverse temperatures.  Unless ``skip_undefined`` is set, the
-    first undefined state raises instead.  The estimator runs in the
-    order of the single-state formula and keeps ``math.log`` (``np.log``
-    can differ from it in the last ulp), so each value is the one the
-    state would give on its own.  Where the ratio of two neighbouring
-    populations overflows or underflows, its log is the difference of
-    their logs, so a subnormal population still gives a finite value.
+    their inverse temperatures; with ``strict`` set, the first undefined
+    state raises instead.  The estimator runs in the order of the
+    single-state formula and keeps ``math.log`` (``np.log`` can differ
+    from it in the last ulp), so each value is the one the state would
+    give on its own.  Where the ratio of two neighbouring populations
+    overflows or underflows, its log is the difference of their logs, so
+    a subnormal population still gives a finite value.
     """
     N = spec.dim
     pops = states.diagonal(axis1=1, axis2=2).real
-    if positivity_floor is not None:
-        pops = np.maximum(pops, positivity_floor)
     off = np.abs(states)
     off[:, range(N), range(N)] = 0.0
     off_max = off.max(axis=(1, 2))
@@ -155,7 +142,7 @@ def _spectral_betas(
     defined = ~(off_max > DIAG_TOL) & ~np.any(pops <= 0, axis=1) & (prefactor != 0)
     if N == 1:
         defined[:] = False
-    if not skip_undefined and not defined.all():
+    if strict and not defined.all():
         k = int(np.argmin(defined))
         if N == 1:
             raise UndefinedTemperatureError("a single level has no temperature")
@@ -188,44 +175,34 @@ def _spectral_betas(
     return steps, -acc / prefactor
 
 
-def spectral_temperature(
-    rho: np.ndarray,
-    spec: EnergySpectrum,
-    positivity_floor: float | None = None,
-) -> tuple[float, float]:
+def spectral_temperature(rho: np.ndarray, spec: EnergySpectrum) -> tuple[float, float]:
     """Spectral inverse temperature of a (near-)diagonal state.
 
     Returns (1/k_B T, T).  Populations are read from the diagonal after
     checking that off-diagonal elements are below ``DIAG_TOL``.  A zero or
-    negative population makes the estimator undefined and raises, unless a
-    positivity floor is explicitly supplied (silent regularization hides
-    non-thermal structure, so it is opt-in).
+    negative population makes the estimator undefined and raises; no floor
+    regularizes it, since that would hide non-thermal structure.
     """
     rho = np.asarray(rho, dtype=complex)
     N = spec.dim
     if rho.shape != (N, N):
         raise ValueError("state dimension does not match the spectrum")
-    _, betas = _spectral_betas(rho[None], spec, False, positivity_floor)
+    _, betas = _spectral_betas(rho[None], spec, strict=True)
     beta = betas[0]
     temperature = math.inf if beta == 0 else 1.0 / beta
     return beta, temperature
 
 
-def temperature_series(
-    traj: Trajectory,
-    spec: EnergySpectrum,
-    skip_undefined: bool = True,
-) -> ObservableSeries:
+def temperature_series(traj: Trajectory, spec: EnergySpectrum) -> ObservableSeries:
     """Spectral inverse temperature along a trajectory.
 
     Steps where the estimator is undefined (zero populations, usually the
     pure initial state, or coherences above the diagonal tolerance) are
-    skipped when ``skip_undefined`` is set; otherwise the first such step
-    raises as ``spectral_temperature`` does.  The estimator runs over the
-    whole stack at once.
+    skipped; ``spectral_temperature`` raises on each of them.  The
+    estimator runs over the whole stack at once.
     """
     _check_dimension(traj, spec)
-    steps, betas = _spectral_betas(traj.states, spec, skip_undefined)
+    steps, betas = _spectral_betas(traj.states, spec, strict=False)
     return ObservableSeries(tuple(steps.tolist()), tuple(betas.tolist()))
 
 

@@ -161,13 +161,6 @@ def cavity_cascade(
     return _cascade(cfg, L, rho, sz_op, "cavity cascade step")
 
 
-def _coerce_series(series) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(series, "as_arrays"):
-        return series.as_arrays()
-    x, y = series
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-
-
 def rescale_by_release_time(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Time axis in units of the release-weighted mean time.
 
@@ -189,13 +182,13 @@ def rescale_by_release_time(x, y) -> tuple[np.ndarray, np.ndarray]:
 def compare_curves(a, b) -> float:
     """L2 distance of two integral-normalized non-negative curves.
 
-    Accepts ObservableSeries or (x, y) pairs.  If the grids differ, the
+    Each curve is an (x, y) pair of arrays.  If the grids differ, the
     second curve is linearly resampled onto the overlap of the two ranges.
     Normalizing by the integral removes any overall scale, so a curve is
     at distance zero from any positive rescaling of itself.
     """
-    xa, ya = _coerce_series(a)
-    xb, yb = _coerce_series(b)
+    xa, ya = (np.asarray(v, dtype=float) for v in a)
+    xb, yb = (np.asarray(v, dtype=float) for v in b)
     if np.any(ya < 0) or np.any(yb < 0):
         raise ValueError("curves must be non-negative")
     if np.array_equal(xa, xb):

@@ -42,10 +42,6 @@ class Spin:
     def j(self) -> Fraction:
         return Fraction(self.twice_j, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_j % 2 == 0
-
     def __float__(self) -> float:
         return self.twice_j / 2.0
 

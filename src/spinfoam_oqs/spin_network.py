@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .recoupling import Spin, as_spin, triangle_ok
+from .recoupling import Spin, triangle_ok
 
 
 class DisconnectedSubsetError(ValueError):
@@ -463,25 +463,11 @@ def random_network(
 
 
 # ---------------------------------------------------------------------------
-# Textual graph format: one record per node and per link.
+# Textual graph reader: one record per node and per link.
 #
 #   node <id> [intertwiner]
 #   link <id> <source|-> <target|-> <2j>
 # ---------------------------------------------------------------------------
-
-def format_network(net: SpinNetwork) -> str:
-    lines = []
-    for n in sorted(net.nodes):
-        if n in net.intertwiners:
-            lines.append(f"node {n} {net.intertwiners[n]}")
-        else:
-            lines.append(f"node {n}")
-    for l in sorted(net.links, key=lambda x: x.link_id):
-        src = "-" if l.source is None else str(l.source)
-        tgt = "-" if l.target is None else str(l.target)
-        lines.append(f"link {l.link_id} {src} {tgt} {l.spin.twice_j}")
-    return "\n".join(lines) + "\n"
-
 
 def parse_network(text: str) -> SpinNetwork:
     nodes: list[int] = []
@@ -509,10 +495,3 @@ def parse_network(text: str) -> SpinNetwork:
         else:
             raise ValueError(f"line {lineno}: unknown record kind {kind!r}")
     return SpinNetwork(nodes, links, inter)
-
-
-def theta_graph(spins=("1", "1", "1")) -> SpinNetwork:
-    """Two nodes joined by three parallel links (smallest closed graph)."""
-    s = [as_spin(x) for x in spins]
-    links = [Link(i, 0, 1, s[i]) for i in range(3)]
-    return SpinNetwork([0, 1], links)

@@ -134,7 +134,9 @@ def test_fit_reported_cost_matches_returned_params(basis, model):
     target = chain_target(2, basis)
     problem = FitProblem(target, model, seed=5)
     result = fit_bath(problem)
-    assert problem.cost_at(result.params) == pytest.approx(result.cost, abs=1e-12)
+    assert cost(target.flatten(), model.flattened(result.params)) == pytest.approx(
+        result.cost, abs=1e-12
+    )
 
 
 def test_min_cost_non_increasing_over_chain_length(basis, model):
@@ -252,7 +254,7 @@ def test_vertex_tables_built_once(basis, monkeypatch):
     )
     problem = FitProblem(target, model, seed=0)
     assert problem.tables is tables
-    assert problem.cost_at(np.ones(model.n_params)) <= 1e-12
+    assert cost(target.flatten(), model.flattened(np.ones(model.n_params))) <= 1e-12
 
 
 def test_two_vertex_model_parameter_count(model):

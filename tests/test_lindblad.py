@@ -25,11 +25,9 @@ from spinfoam_oqs.lindblad import (
     kappa_steady_states,
     kraus_from_map,
     limit_channel,
-    maximally_mixed,
     pure_state,
     state_from_amplitudes,
     steady_states,
-    subspace_relaxer,
     unvec,
     vec,
 )
@@ -121,7 +119,7 @@ def test_evolve_continuous_preserves_trace():
     H = rng.normal(size=(3, 3))
     H = (H + H.T) / 2
     L = generator(H, [(0.5, jump(3, 0, 2)), (0.2, jump(3, 1, 2))])
-    rho0 = maximally_mixed(3)
+    rho0 = np.eye(3) / 3
     out = evolve_continuous(L, rho0, 2.5)
     assert abs(np.trace(out).real - 1.0) < 1e-10
 
@@ -381,7 +379,7 @@ def test_evolve_effective_population_conserved():
         tuple("abcd"), raw / raw.sum(axis=0, keepdims=True), "over_n"
     )
     traj = evolve_effective(
-        km, EvolutionConfig(g=0.5, steps=40), maximally_mixed(4)
+        km, EvolutionConfig(g=0.5, steps=40), np.eye(4) / 4
     )
     assert np.max(np.abs(traj.traces() - 1.0)) < 1e-12
 
@@ -589,41 +587,6 @@ def test_kappa_steady_states_one_per_closed_class(km):
         assert np.max(np.abs(states[0] - reference)) <= 1e-12
 
 
-# --- subspace relaxer ---------------------------------------------------------------
-
-def test_subspace_relaxer_two_level():
-    L = subspace_relaxer(2, [0], target=0)
-    out = limit_channel(L).apply(pure_state(2, 1))
-    assert out[0, 0].real == pytest.approx(1.0, abs=1e-10)
-
-
-def test_subspace_relaxer_leaves_inside_states_fixed():
-    L = subspace_relaxer(4, [0, 1], target=0)
-    U = limit_channel(L)
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[:2, :2] = state_from_amplitudes([0.6, 0.8])[:, :]
-    assert np.allclose(U.apply(rho0), rho0, atol=1e-10)
-
-
-def test_subspace_relaxer_maps_random_states_into_subspace():
-    rng = np.random.default_rng(11)
-    L = subspace_relaxer(4, [0, 1], target=1, rates=[1.0, 2.0])
-    U = limit_channel(L)
-    for _ in range(5):
-        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = A @ A.conj().T
-        rho /= np.trace(rho).real
-        out = U.apply(rho)
-        assert abs(np.trace(out).real - 1.0) < 1e-10
-        outside = np.abs(out[2:, :]).max() + np.abs(out[:, 2:]).max()
-        assert outside < 1e-10
-
-
-def test_subspace_relaxer_empty_complement_shortcut():
-    L = subspace_relaxer(2, [0, 1], target=0)
-    assert np.allclose(L.matrix, 0.0)
-
-
 # --- invariants ----------------------------------------------------------------------
 
 def test_clamp_reports_counts():
@@ -650,10 +613,11 @@ def test_clamp_rejects_a_non_finite_state(bad):
         clamp_density_matrix(rho)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_evolve_effective_raises_at_the_first_nan_step():
-    # expm of this rate matrix is all NaN, so step 1 is the first bad state;
-    # the coherence decay factors overflow on the way.
+    # expm of this rate matrix is all NaN, so step 1 is the first bad state.
+    # The coherence decay factors overflow on the way, without a warning:
+    # only the violation shows.
     kappa = np.array([[0.0, 1e300], [-1e300, 0.0]])
     with pytest.raises(InvariantViolation, match="^step 1: state has non-finite entries"):
         evolve_effective(kappa, EvolutionConfig(g=1.0, steps=3), pure_state(2, 1))

@@ -15,13 +15,17 @@ from spinfoam_oqs.spin_network import (
     SpinNetwork,
     SubSpinNetwork,
     extract_sub,
-    format_network,
     parse_network,
     random_network,
-    theta_graph,
     union,
     validate,
 )
+
+
+def theta_graph(spins=("1", "1", "1")):
+    """Two nodes joined by three parallel links (smallest closed graph)."""
+    links = [Link(i, 0, 1, as_spin(s)) for i, s in enumerate(spins)]
+    return SpinNetwork([0, 1], links)
 
 
 def single_node(spins, node=0, start_link=0):
@@ -241,16 +245,17 @@ def test_random_network_budget_exhaustion():
         random_network(tmpl, seed=0)
 
 
-def test_text_format_round_trip():
-    net = theta_graph(("1/2", 1, "3/2"))
-    text = format_network(net)
-    assert parse_network(text) == net
-    # dangling links use the '-' marker
-    sub, _ = extract_sub(net, [0])
-    text2 = format_network(sub)
-    assert " - " in text2
-    reparsed = parse_network(text2)
-    assert sorted(l.link_id for l in reparsed.dangling_links()) == [0, 1, 2]
+def test_parse_network_reads_links_and_dangling_ends():
+    text = "node 0\nnode 1 0\nlink 0 0 1 1\nlink 1 0 1 2\nlink 2 0 1 3\n"
+    assert parse_network(text) == SpinNetwork(
+        [0, 1], [Link(i, 0, 1, Spin(i + 1)) for i in range(3)], {1: 0}
+    )
+    # A '-' marks a dangling end; '#' starts a comment.
+    text = "node 0  # one end\nlink 0 0 - 1\nlink 1 - 0 2\nlink 2 0 - 3\n"
+    net = parse_network(text)
+    ends = [(0, None), (None, 0), (0, None)]
+    assert net == SpinNetwork([0], [Link(i, *ends[i], Spin(i + 1)) for i in range(3)])
+    assert sorted(l.link_id for l in net.dangling_links()) == [0, 1, 2]
 
 
 def test_parse_rejects_malformed_records():

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from spinfoam_oqs import lindblad
 from spinfoam_oqs.amplitudes import KappaMatrix
 from spinfoam_oqs.lindblad import (
     EvolutionConfig,
@@ -41,7 +42,6 @@ from spinfoam_oqs.observables import (
     EnergySpectrum,
     UndefinedTemperatureError,
     energy_expectations,
-    energy_operator,
     spectral_temperature,
     temperature_series,
 )
@@ -239,6 +239,20 @@ def test_trajectory_keeps_the_minima_of_its_check(case):
         assert traj.min_eigenvalues().tobytes() == block_min_eigenvalues(traj.states).tobytes()
 
 
+def test_stored_states_are_the_hermitian_parts_bit_for_bit():
+    # A negative real amplitude leaves negative zeros in the imaginary parts
+    # of the raw coherences, which stay exactly Hermitian.  Their Hermitian
+    # part, (rho + rho^dag) / 2 in complex arithmetic, turns some of those
+    # zeros positive, and the CSV prints the stored sign.
+    kappa = np.array([[0.5, 0.2, 0.0], [0.5, 0.3, 0.4], [0.0, 0.5, 0.6]])
+    rho0 = state_from_amplitudes([-0.7, 0.5, 0.4])
+    traj = evolve_effective(kappa, EvolutionConfig(0.5, 3), rho0)
+    states, _ = per_step_evolve(kappa, 0.5, 3, rho0)
+    assert traj.states.tobytes() == states.tobytes()
+    rows = trajectory_csv(traj, ["a", "b", "c"], [(1, 0)]).splitlines()
+    assert [row.split(",")[6] for row in rows[1:]] == ["-0.0", "0.0", "0.0", "0.0"]
+
+
 def test_property_cases_include_clamps_and_violations():
     # The strategy above must reach both a clamped trajectory and a raised
     # InvariantViolation, or the property test compares only clean runs.
@@ -312,6 +326,27 @@ def test_block_min_eigenvalues_match_full_eigvalsh(stack):
     assert np.abs(block_min_eigenvalues(stack) - full).max() <= 1e-14
 
 
+@pytest.mark.parametrize("components", [[[0, 1, 2, 3, 4, 5]], [[0], [3], [1, 4], [2, 5, 6]]])
+def test_block_min_eigenvalues_of_a_long_stack_are_those_of_its_blocks(components):
+    # Two full chunks of _BLOCK states and a partial one; each state is
+    # Hermitian only within 1e-13.  The chunked minima are the whole
+    # stack's, block by block, bit for bit.
+    rng = np.random.default_rng(7)
+    d = sum(len(members) for members in components)
+    stack = np.zeros((2 * lindblad._BLOCK + 37, d, d), dtype=complex)
+    for members in components:
+        shape = (len(stack), len(members), len(members))
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        block = a @ np.swapaxes(a, 1, 2).conj() - 0.3 * np.eye(len(members))
+        block += 1e-13 * rng.normal(size=block.shape)
+        stack[:, np.array(members)[:, None], np.array(members)] = block
+    expected = np.full(len(stack), np.inf)
+    for members in components:
+        blocks = stack[:, np.array(members)[:, None], np.array(members)]
+        expected = np.minimum(expected, np.linalg.eigvalsh(hermitian_part(blocks)).min(axis=1))
+    assert block_min_eigenvalues(stack).tobytes() == expected.tobytes()
+
+
 def test_trajectory_from_list_is_one_array():
     rho = np.diag([0.25, 0.75]).astype(complex)
     traj = Trajectory([rho, rho, rho], g=0.5)
@@ -329,7 +364,7 @@ def test_trajectory_from_list_is_one_array():
 
 
 def per_state_energies(traj, spec):
-    E = energy_operator(spec)
+    E = np.diag(spec.energies())
     return np.array([np.trace(rho @ E).real for rho in traj.states])
 
 
@@ -394,8 +429,9 @@ def test_stacked_observables_match_per_state_reference(case, scale):
     for k, beta in zip(steps, betas):
         assert spectral_temperature(traj.states[k], spec)[0] == beta
     if first_error is not None:
+        first = min(set(range(len(traj.states))) - set(steps))
         with pytest.raises(type(first_error)) as raised:
-            temperature_series(traj, spec, skip_undefined=False)
+            spectral_temperature(traj.states[first], spec)
         assert str(raised.value) == str(first_error)
 
 
@@ -418,10 +454,10 @@ def test_subnormal_population_gives_a_finite_temperature_without_warning():
     assert series.values[series.steps.index(int(subnormal[-1]))] == beta
 
 
-def test_temperature_series_raises_first_undefined_step_when_asked():
+def test_temperature_series_skips_the_steps_where_the_estimator_raises():
     spec = EnergySpectrum((Spin(1), Spin(2)))
     states = [np.diag([0.4, 0.6]), np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
     traj = Trajectory(states)
     assert temperature_series(traj, spec).steps == (0, 2)
     with pytest.raises(UndefinedTemperatureError, match="level 1"):
-        temperature_series(traj, spec, skip_undefined=False)
+        spectral_temperature(traj.states[1], spec)
