@@ -102,6 +102,7 @@ class TwoVertexModel:
         return np.outer(w_out, w_in)
 
     def flattened(self, params: Sequence[float]) -> np.ndarray:
+        """The model table as one vector, as ``perfbench/checks.py`` recomputes a fit's cost."""
         return self.matrix(params).reshape(-1)
 
 

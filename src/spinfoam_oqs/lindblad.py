@@ -1,8 +1,10 @@
 """Open-system engine: dissipators, generators, steady states, channels.
 
 Superoperators act on column-vectorized density matrices (Fortran order),
-so vec(A rho B) = (B^T kron A) vec(rho).  Matrix exponentials go through
-scipy's scaling-and-squaring Pade implementation.  Every evolution, the
+so vec(A rho B) = (B^T kron A) vec(rho).  The generic matrix exponentials
+go through ``expm``, scipy's scaling-and-squaring Pade implementation,
+which imports ``scipy.linalg`` on its first call; the population step of
+``evolve_effective`` is uniformized instead.  Every evolution, the
 cascades of ``qed_reference`` included, makes its (steps + 1, d, d) stack
 of states in ``_stepped``, which steps them all, then checks the CPTP
 invariants of every state, the initial one included, in one batch.  Its
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -44,6 +45,21 @@ KRAUS_KEEP_TOL = 1e-12
 KERNEL_TOL = 1e-9
 INVARIANCE_TOL = 1e-8
 LIMIT_HORIZON_FACTOR = 50.0
+POISSON_TAIL = 2.0**-60  # uniformization stops at the first Poisson weight below this
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported on the first call.
+
+    Only the generic paths need it: ``evolve_continuous``,
+    ``limit_channel``, the kicks of ``evolve_kicked``, the cascades of
+    ``qed_reference`` and a population rate array that
+    ``_population_step`` cannot uniformize.  So neither a package import nor
+    a CLI command on a valid config loads ``scipy.linalg``.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 class InvariantViolation(ValueError):
@@ -163,6 +179,45 @@ def _rates(kappa) -> tuple[np.ndarray, np.ndarray]:
     entries = np.asarray(getattr(kappa, "entries", kappa), dtype=float)
     gamma = entries.sum(axis=0)
     return entries - np.diag(gamma), (gamma[:, None] + gamma[None, :]) / 2
+
+
+def _population_step(pop: np.ndarray, g: float) -> np.ndarray:
+    """exp(g A) of a population rate matrix A, by uniformization.
+
+    With lam = max |g A| (max_m g (Gamma_m - kappa[m, m]), unless rounding
+    absorbed a column's outflow into its self-jump rate) and the
+    column-stochastic P = I + g A / lam, exp(g A) = sum_k w_k P^k with the
+    Poisson weights w_k = e^-lam lam^k / k!.  For lam > 1 the sum is taken
+    at lam / 2^s, s = ceil(log2 lam), and squared s times.  The weights
+    stop at the first one below ``POISSON_TAIL``.  The sum is taken by
+    Horner's rule, whose column sums stay closer to one than a term-by-term
+    sum's.
+    Every term is entrywise nonnegative, so the map is.  lam = 0 (A = 0)
+    gives the identity, exactly.  An array with a negative off-diagonal
+    entry, or a non-finite entry in g A, has no stochastic P and goes
+    through ``expm``.
+    """
+    a = g * pop
+    d = len(a)
+    if not np.isfinite(a).all() or (a[~np.eye(d, dtype=bool)] < 0).any():
+        return expm(a)
+    lam = float(np.abs(a).max(initial=0.0))
+    if lam == 0.0:
+        return np.eye(d)
+    P = np.eye(d) + a / lam
+    squarings = max(math.ceil(math.log2(lam)), 0)
+    lam = math.ldexp(lam, -squarings)
+    weights = [math.exp(-lam)]
+    while weights[-1] >= POISSON_TAIL:
+        weights.append(weights[-1] * lam / len(weights))
+    out = weights.pop() * np.eye(d)
+    diagonal = np.diag_indices(d)
+    for weight in reversed(weights):
+        out = P @ out
+        out[diagonal] += weight
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def kappa_generator(kappa) -> Superoperator:
@@ -704,9 +759,11 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
 
     The generator is block-diagonal in the split populations/coherences,
     so the step map is applied exactly without forming the D^2 x D^2
-    matrix: the diagonal goes through the d x d map expm(g A) of the
-    population rate matrix, and each off-diagonal entry rho_ab is scaled
-    by exp(-g (Gamma_a + Gamma_b) / 2).  Both are computed once and reused.
+    matrix: the diagonal goes through the d x d map exp(g A) of the
+    population rate matrix, uniformized by ``_population_step`` (entrywise
+    nonnegative, and no ``scipy.linalg`` for nonnegative finite rates), and
+    each off-diagonal entry rho_ab is scaled by exp(-g (Gamma_a + Gamma_b)
+    / 2).  Both are computed once and reused.
     The map never creates coherence, so every state is block-diagonal over
     the connected components of rho0's off-diagonal support, and
     ``_stepped`` checks it with one small ``eigvalsh`` per block.
@@ -719,7 +776,7 @@ def evolve_effective(kappa, cfg: EvolutionConfig, rho0: np.ndarray) -> Trajector
     # Huge or negative raw rates overflow here; the first state they spoil
     # raises in ``_stepped``.
     with np.errstate(over="ignore", invalid="ignore"):
-        pop_step = expm(cfg.g * pop)
+        pop_step = _population_step(pop, cfg.g)
         mask = np.exp(-cfg.g * decay)
 
     def step(k, state, out):

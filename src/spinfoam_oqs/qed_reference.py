@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import expm
 
-from .lindblad import Trajectory, _stepped, generator, pure_state, unvec, vec
+from .lindblad import Trajectory, _stepped, expm, generator, pure_state, unvec, vec
 
 
 @dataclass(frozen=True)

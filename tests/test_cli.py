@@ -928,6 +928,58 @@ def test_cli_entry_point_installed(tmp_path):
         assert "evolve" in result.stdout
 
 
+def run_fresh(code: str, cwd: Path) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; return its stdout."""
+    pythonpath = os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_package_import_leaves_scipy_linalg_to_expm(tmp_path):
+    # lindblad.expm is the one import site of scipy.linalg, loaded on its first call.
+    out = run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "import spinfoam_oqs\n"
+        "from spinfoam_oqs import lindblad, qed_reference\n"
+        "print('scipy.linalg' in sys.modules, qed_reference.expm is lindblad.expm)\n"
+        "lindblad.expm(np.zeros((2, 2)))\n"
+        "print('scipy.linalg' in sys.modules)\n",
+        tmp_path,
+    )
+    assert out.split() == ["False", "True", "True"]
+
+
+def test_cli_commands_on_the_shipped_configs_never_load_scipy_linalg(tmp_path):
+    runs = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        if "backend" in json.loads(path.read_text(encoding="utf-8")):
+            commands = [["evolve"], ["steady-state"]]
+        else:
+            commands = [["fit"], ["sample", "--n", "200"]]
+        runs += [command + ["--config", str(path)] for command in commands]
+    assert len(runs) == 12
+    out = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from spinfoam_oqs.cli import main\n"
+        f"for i, argv in enumerate(json.loads({json.dumps(json.dumps(runs))})):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = main(argv + ['--out', f'run{i}'])\n"
+        "    print(rc, 'scipy.linalg' in sys.modules, ' '.join(argv[:1] + argv[-1:]))\n",
+        tmp_path,
+    )
+    lines = out.splitlines()
+    assert len(lines) == len(runs)
+    for line in lines:
+        assert line.startswith("0 False "), line
+
+
 def test_readme_library_use_imports_resolve():
     # every import statement of README's "Library use" example
     readme = (REPO / "README.md").read_text(encoding="utf-8")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from spinfoam_oqs import lindblad
 from spinfoam_oqs.amplitudes import KappaMatrix
 from spinfoam_oqs.lindblad import (
     EmptyKernelError,
@@ -13,6 +14,8 @@ from spinfoam_oqs.lindblad import (
     InvariantViolation,
     KrausSet,
     Superoperator,
+    _population_step,
+    _rates,
     adiabatic_eliminate,
     clamp_density_matrix,
     dissipator,
@@ -463,6 +466,48 @@ def test_evolve_effective_matches_dense_step_map(kappa, g, seed, rank):
         if clamped:
             v = vec(rho)
         assert np.max(np.abs(traj.states[k + 1] - rho)) <= 1e-12
+
+
+# --- uniformized population step against scipy's expm ---------------------------
+
+@given(
+    kappa_tables,
+    st.sampled_from([1.0, 5.0, 20.0]),
+    st.floats(0.01, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_population_step_matches_expm(kappa, scale, g, seed):
+    # Scaled over_m columns sum to up to 20 d, so max |g A| passes 1 and the
+    # squaring path runs; dead columns have zero rates; some get a self-jump.
+    rng = np.random.default_rng(seed)
+    self_jumps = rng.uniform(0.0, 2.0, kappa.dim) * (rng.uniform(size=kappa.dim) < 0.5)
+    pop, _ = _rates(scale * kappa.entries + np.diag(self_jumps))
+    step = _population_step(pop, g)
+    assert np.max(np.abs(step - expm(g * pop))) <= 1e-13
+    assert (step >= 0.0).all()
+    assert np.max(np.abs(step.sum(axis=0) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "entries", [np.zeros((3, 3)), np.diag([0.5, 0.0, 2.0])], ids=["zero", "self_jumps"]
+)
+def test_population_step_without_jumps_is_the_identity(entries):
+    pop, _ = _rates(entries)
+    assert np.array_equal(_population_step(pop, 0.7), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "rate, g", [(-0.1, 1.0), (np.inf, 1.0), (np.nan, 1.0), (1e308, 10.0)],
+    ids=["negative", "inf", "nan", "overflow"],
+)
+def test_population_step_falls_back_to_expm(monkeypatch, rate, g):
+    calls = []
+    monkeypatch.setattr(lindblad, "expm", lambda a: calls.append(a) or "expm")
+    with np.errstate(over="ignore", invalid="ignore"):
+        pop, _ = _rates(np.array([[0.5, rate], [0.5, 0.5]]))
+        assert _population_step(pop, g) == "expm"
+    assert len(calls) == 1
 
 
 def test_evolve_effective_undamped_coherence_keeps_its_value():

@@ -20,7 +20,6 @@ THREE_LEVEL = "acceptance criterion 4, through test_lindblad._three_level_benchm
 KEPT = {
     "pr_transition": "test oracle: the entrywise W of test_fused_W_matches_entrywise",
     "dissipator": "test oracle: the D_R rho that dissipator_matrix is checked against",
-    "limit_channel": THREE_LEVEL,
     "kraus_from_map": THREE_LEVEL,
     "adiabatic_eliminate": THREE_LEVEL,
     "asymptotic_vertex": "paper: the large-spin vertex behind two_level_rho11",

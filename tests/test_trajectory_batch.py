@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from spinfoam_oqs import lindblad
 from spinfoam_oqs.amplitudes import KappaMatrix
@@ -30,6 +29,7 @@ from spinfoam_oqs.lindblad import (
     EvolutionConfig,
     InvariantViolation,
     Trajectory,
+    _population_step,
     _rates,
     block_min_eigenvalues,
     clamp_density_matrix,
@@ -64,7 +64,7 @@ def per_step_evolve(kappa, g, steps, rho0):
     """
     pop, decay = _rates(kappa)
     clamp_density_matrix(rho0, "initial state")
-    pop_step = expm(g * pop)
+    pop_step = _population_step(pop, g)
     mask = np.exp(-g * decay)
     states = [np.asarray(rho0, dtype=complex).copy()]
     clamps = [0]
