@@ -14,6 +14,7 @@ either normalization convention (over the out index by default).
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from collections import OrderedDict
@@ -43,15 +44,18 @@ class ProviderError(RuntimeError):
     """Amplitude provider failed while filling a matrix entry or the matrix."""
 
 
-def pr_vertex(j1, j2, j3, j4, j5, j6) -> complex:
-    """Signed tetrahedral vertex amplitude (-1)^(sum j) * {6j}.
+def vertex_amplitudes(rows) -> np.ndarray:
+    """Signed tetrahedral vertex amplitude (-1)^(sum j) * {6j} of each row of
+    an (N, 6) int64 array of 2j values.  A half-integer total spin makes the
+    sign a complex unit, which is kept so enclosing sums interfere correctly."""
+    return _PHASE_TABLE[rows.sum(axis=1) % 4] * wigner6j_batch(rows)
 
-    A half-integer total spin makes the sign a complex unit, which is kept
-    so enclosing sums interfere correctly.
-    """
+
+def pr_vertex(j1, j2, j3, j4, j5, j6) -> complex:
+    """One signed vertex amplitude through the scalar ``wigner6j``: the
+    reference ``vertex_amplitudes`` is checked against."""
     spins = tuple(as_spin(j) for j in (j1, j2, j3, j4, j5, j6))
-    total_twice = sum(s.twice_j for s in spins)
-    return _PHASES[total_twice % 4] * wigner6j(*spins)
+    return _PHASES[sum(s.twice_j for s in spins) % 4] * wigner6j(*spins)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +374,7 @@ def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> 
     index = np.nonzero(ok)
     rows = np.stack([face[k].ravel()[index[axis]] for k, axis in enumerate(pattern)], axis=1)
     T = np.zeros(dims, dtype=complex)
-    T[index] = _PHASE_TABLE[rows.sum(axis=1) % 4] * wigner6j_batch(rows)
+    T[index] = vertex_amplitudes(rows)
     T.flags.writeable = False
     return T
 
@@ -729,8 +733,11 @@ class AsymptoticParams:
     chi_plus_m: float = 0.0
 
     def __post_init__(self):
-        if self.n_plus_abs <= 0:
-            raise ValueError("n_plus_abs must be positive")
+        for name in ("gamma_immirzi", "regge_action", "alpha", "phase_offset", "chi_plus_m"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.n_plus_abs < math.inf:
+            raise ValueError(f"n_plus_abs must be positive and finite, got {self.n_plus_abs}")
 
 
 def asymptotic_vertex(lam: float, p: AsymptoticParams) -> complex:
@@ -739,8 +746,8 @@ def asymptotic_vertex(lam: float, p: AsymptoticParams) -> complex:
     The modulus is independent of the carried phases; only the relative
     branch weight alpha and the oscillation frequency survive in rates.
     """
-    if lam <= 0:
-        raise ValueError(f"scale parameter must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"scale parameter must be positive and finite, got {lam}")
     phase = np.exp(1j * math.pi * p.chi_plus_m) * np.exp(1j * lam * p.phase_offset)
     osc = lam * p.gamma_immirzi * p.regge_action
     branches = np.exp(1j * osc) + p.alpha * np.exp(-1j * osc)
@@ -749,8 +756,8 @@ def asymptotic_vertex(lam: float, p: AsymptoticParams) -> complex:
 
 def interference_weight(lam: float, p: AsymptoticParams) -> float:
     """|e^{2 i lambda gamma S} + alpha| |N+|, the oscillatory rate factor."""
-    if lam <= 0:
-        raise ValueError(f"scale parameter must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"scale parameter must be positive and finite, got {lam}")
     osc = 2.0 * lam * p.gamma_immirzi * p.regge_action
     return float(abs(np.exp(1j * osc) + p.alpha) * p.n_plus_abs)
 
@@ -763,8 +770,8 @@ def two_level_rho11(lam1: float, lam2: float, p: AsymptoticParams) -> float:
     complement of the smaller so that swapping the arguments sums to
     exactly one in floating point.
     """
-    if lam1 <= 0 or lam2 <= 0:
-        raise ValueError("scale parameters must be positive")
+    if not (0 < lam1 < math.inf and 0 < lam2 < math.inf):
+        raise ValueError(f"scale parameters must be positive and finite, got {lam1}, {lam2}")
     a = lam1**4 * interference_weight(lam2, p)
     b = lam2**4 * interference_weight(lam1, p)
     if a == 0.0 and b == 0.0:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import TransitionMatrix, label_spins, pr_vertex
+from .amplitudes import TransitionMatrix, label_spins, vertex_amplitudes
 from .recoupling import Spin, as_spin
 
 
@@ -72,11 +72,12 @@ class TwoVertexModel:
         return len(self.bath_triples_in) + len(self.bath_triples_out)
 
     def _amplitude_table(self, triples) -> np.ndarray:
-        table = np.zeros((len(self.basis), len(triples)), dtype=complex)
-        for i, label in enumerate(self.basis):
-            spins = label_spins(label, 3)
-            for b, bath in enumerate(triples):
-                table[i, b] = pr_vertex(*spins, *bath)
+        labels = np.array(
+            [[s.twice_j for s in label_spins(label, 3)] for label in self.basis], dtype=np.int64
+        ).reshape(-1, 3)
+        baths = np.array([[s.twice_j for s in t] for t in triples], dtype=np.int64).reshape(-1, 3)
+        rows = np.hstack([np.repeat(labels, len(baths), axis=0), np.tile(baths, (len(labels), 1))])
+        table = vertex_amplitudes(rows).reshape(len(labels), len(baths))
         table.flags.writeable = False
         return table
 

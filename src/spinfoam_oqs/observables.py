@@ -45,8 +45,8 @@ class EnergySpectrum:
         spins = tuple(as_spin(s) for s in self.spins)
         if len(set(spins)) != len(spins):
             raise ValueError("level spins must be distinct")
-        if self.scale <= 0:
-            raise ValueError("energy scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"energy scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "spins", spins)
 
     @property

@@ -6,7 +6,9 @@ evaluated with arbitrary-precision rationals; the square root of the
 triangle-coefficient product is split into an exact rational part and a
 squarefree integer using a shared prime-factorized factorial table.  The
 float returned is therefore correct to a couple of ulp, and repeated
-evaluations are bit-identical.
+evaluations are bit-identical.  Each symbol is stored once, under the
+smallest of its 24 equivalent orderings packed into one int64; keys are
+computed for a whole batch in NumPy, and ``wigner6j`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -64,12 +65,11 @@ def as_spin(value) -> Spin:
     if isinstance(value, int) and not isinstance(value, bool):
         return Spin(2 * value)
     if isinstance(value, str):
-        if "/" in value:
-            num, den = value.split("/")
-            frac = Fraction(int(num), int(den))
-        else:
-            frac = Fraction(value)
-        value = frac
+        num, _, den = value.partition("/")
+        try:
+            value = Fraction(int(num), int(den)) if den else Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     if isinstance(value, Fraction):
         doubled = value * 2
         if doubled.denominator != 1:
@@ -77,7 +77,7 @@ def as_spin(value) -> Spin:
         return Spin(int(doubled))
     if isinstance(value, float):
         doubled = value * 2
-        if doubled != int(doubled):
+        if not math.isfinite(doubled) or doubled != int(doubled):
             raise ValueError(f"{value} is not an exact half-integer")
         return Spin(int(doubled))
     raise TypeError(f"cannot interpret {value!r} as a spin")
@@ -145,17 +145,24 @@ class FactorialTable:
 _table_lock = threading.Lock()
 _table = FactorialTable()
 
-_cache: dict[tuple[int, ...], float] = {}  # canonical key -> value
-# First level in front of the canonical key: argument 2j tuple -> value.
-# Emptied when full; every value is still in ``_cache``.
-_raw_cache: dict[tuple[int, ...], float] = {}
-_RAW_CACHE_MAX = 1 << 16
+# A canonical key packs six 2j values of _KEY_BITS bits each into one
+# int64, upper row first, so that integer order is tuple order.
+_KEY_BITS = 10
+_KEY_MASK = (1 << _KEY_BITS) - 1
+_KEY_SHIFTS = _KEY_BITS * np.arange(5, -1, -1)
+# Per column, whether each of the four classically equivalent flips
+# exchanges its upper and lower entry.
+_FLIPS = np.array([[0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]], dtype=bool)[:, :, None]
+
+_cache: dict[int, float] = {}  # packed canonical key -> value
 _cache_lock = threading.Lock()
 
 
 def configure(two_j_max: int = DEFAULT_TWO_J_MAX) -> None:
     """Resize the shared factorial table (keeps previously cached values)."""
     global _table
+    if two_j_max > _KEY_MASK:
+        raise ValueError(f"two_j_max={two_j_max} exceeds {_KEY_MASK}, the largest 2j a key holds")
     with _table_lock:
         _table = FactorialTable(two_j_max)
 
@@ -167,34 +174,27 @@ def cache_info() -> dict:
 def clear_cache() -> None:
     with _cache_lock:
         _cache.clear()
-        _raw_cache.clear()
 
 
-def canonical_six_j_key(spins: Iterable[Spin]) -> tuple[int, ...]:
-    """Lexicographically smallest of the 24 classically equivalent orderings.
+def _canonical_keys(rows: np.ndarray) -> np.ndarray:
+    """Packed canonical key of each row of an (N, 6) int64 array of 2j values.
 
-    The symmetries are the column permutations and the upper/lower flips
-    of two columns at once.  For a fixed flip the smallest ordering sorts
-    the columns by (upper, lower), so the key is the smallest of four.
+    The key is the smallest of the 24 classically equivalent orderings:
+    column permutations times upper/lower flips of two columns.  Per flip,
+    sorting the columns packed as ``upper << 3 * _KEY_BITS | lower`` gives
+    the smallest, and sorted columns x <= y <= z pack into the key as
+    ``x << 2 * _KEY_BITS | y << _KEY_BITS | z``; the least of four is kept.
     """
-    t = tuple(s.twice_j for s in spins)
-    a, b, c = (t[0], t[3]), (t[1], t[4]), (t[2], t[5])
-    best = None
-    for cols in (
-        (a, b, c),
-        (a[::-1], b[::-1], c),
-        (a[::-1], b, c[::-1]),
-        (a, b[::-1], c[::-1]),
-    ):
-        x, y, z = sorted(cols)
-        key = (x[0], y[0], z[0], x[1], y[1], z[1])
-        if best is None or key < best:
-            best = key
-    return best
+    wide = 3 * _KEY_BITS
+    a, b, c = (np.where(flip, low << wide | up, up << wide | low)
+               for up, low, flip in zip(rows[:, :3].T, rows[:, 3:].T, _FLIPS))
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    mid = a + b + c - lo - hi
+    return (lo << 2 * _KEY_BITS | mid << _KEY_BITS | hi).min(axis=0)
 
 
 _TRIADS = ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
-_OPPOSITE_PAIRS = ((0, 3), (1, 4), (2, 5))
 
 
 def _admissible(tjs: tuple[int, ...]) -> bool:
@@ -260,51 +260,39 @@ def _racah_value(tjs: tuple[int, ...], table: FactorialTable) -> float:
 
 
 def wigner6j(j1, j2, j3, j4, j5, j6) -> float:
-    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}.
+    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}: ``wigner6j_batch`` of one row.
 
     Non-admissible inputs are legal and return 0 (amplitude sums iterate
-    over raw spin grids and rely on silent vanishing).  Values are cached
-    under the canonical symmetry-reduced key, behind a first-level cache
-    keyed on the arguments as given.
+    over raw spin grids and rely on silent vanishing).
     """
-    spins = [as_spin(j) for j in (j1, j2, j3, j4, j5, j6)]
-    raw = tuple([s.twice_j for s in spins])
-    table = _table
-    if max(raw) > table.two_j_max:
-        too_big = [s for s in spins if s.twice_j > table.two_j_max]
-        raise SpinCapacityError(
-            f"spins {[str(s) for s in too_big]} exceed 2j_max={table.two_j_max}; "
-            "raise the limit with recoupling.configure(two_j_max=...)"
-        )
-    hit = _raw_cache.get(raw)
-    if hit is not None:
-        return hit
-    key = canonical_six_j_key(spins)
-    value = _cache.get(key)
-    if value is None:
-        value = _racah_value(key, table) if _admissible(key) else 0.0
-    with _cache_lock:
-        _cache[key] = value
-        if len(_raw_cache) >= _RAW_CACHE_MAX:
-            _raw_cache.clear()
-        _raw_cache[raw] = value
-    return value
+    return float(wigner6j_batch([[as_spin(j).twice_j for j in (j1, j2, j3, j4, j5, j6)]])[0])
 
 
 def wigner6j_batch(rows) -> np.ndarray:
     """Wigner 6j symbols for each row of an (N, 6) array of 2j values.
 
-    Each row is looked up in the first-level cache keyed on the arguments
-    as given; only a miss goes through ``wigner6j``, so every value is the
-    one the scalar call returns.
+    Rows are reduced to their packed canonical keys; each distinct key is
+    looked up once, and only a key not yet stored goes through the exact
+    Racah sum.  Raises ValueError on a negative 2j and SpinCapacityError
+    on one above the factorial table's ``two_j_max``.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
-    keys = list(map(tuple, rows.tolist()))
-    if keys and int(rows.max()) > _table.two_j_max:
-        wigner6j(*map(Spin, keys[int(rows.max(axis=1).argmax())]))  # raises
-    get = _raw_cache.get
-    values = [get(key) for key in keys]
-    for i, value in enumerate(values):
-        if value is None:
-            values[i] = wigner6j(*map(Spin, keys[i]))
-    return np.array(values, dtype=float)
+    table = _table
+    if rows.min(initial=0) < 0:
+        raise ValueError(f"twice_j must be non-negative, got {rows.min()}")
+    if rows.max(initial=0) > table.two_j_max:
+        row = rows[rows.max(axis=1).argmax()].tolist()
+        too_big = [str(Spin(t)) for t in row if t > table.two_j_max]
+        raise SpinCapacityError(
+            f"spins {too_big} exceed 2j_max={table.two_j_max}; "
+            "raise the limit with recoupling.configure(two_j_max=...)"
+        )
+    keys, inverse = np.unique(_canonical_keys(rows), return_inverse=True)
+    values = list(map(_cache.get, keys.tolist()))
+    missing = [i for i, value in enumerate(values) if value is None]
+    spins = (keys[missing, None] >> _KEY_SHIFTS & _KEY_MASK).tolist()
+    for i, tjs in zip(missing, spins):
+        values[i] = _racah_value(tjs, table) if _admissible(tjs) else 0.0
+    with _cache_lock:
+        _cache.update((keys.item(i), values[i]) for i in missing)
+    return np.array(values)[inverse]

@@ -567,6 +567,23 @@ def test_asymptotic_vertex_domain_error():
         asymptotic_vertex(-1.0, PARAMS)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_asymptotic_backend_rejects_numbers_that_are_not_finite(bad):
+    for name in ("gamma_immirzi", "regge_action", "alpha", "n_plus_abs", "phase_offset",
+                 "chi_plus_m"):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            AsymptoticParams(**{name: bad})
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        AsymptoticParams(alpha=complex(0.5, bad))
+    for call in (asymptotic_vertex, interference_weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            call(bad, PARAMS)
+    with pytest.raises(ValueError, match="positive and finite"):
+        two_level_rho11(bad, 1.0, PARAMS)
+    with pytest.raises(ValueError, match="positive and finite"):
+        two_level_rho11(1.0, bad, PARAMS)
+
+
 def test_two_level_equal_scales_is_half():
     assert two_level_rho11(1.3, 1.3, PARAMS) == 0.5
 

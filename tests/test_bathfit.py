@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from spinfoam_oqs.amplitudes import TransitionMatrix, label_str
+from spinfoam_oqs.amplitudes import TransitionMatrix, label_spins, label_str, pr_vertex
 from spinfoam_oqs.bathfit import (
     CostHistogram,
     FitProblem,
@@ -248,13 +248,24 @@ def test_vertex_tables_built_once(basis, monkeypatch):
     def no_vertex(*args):
         raise AssertionError("vertex table rebuilt")
 
-    monkeypatch.setattr(bathfit, "pr_vertex", no_vertex)
+    monkeypatch.setattr(bathfit, "vertex_amplitudes", no_vertex)
     target = TransitionMatrix(
         tuple(label_str(b) for b in basis), model.matrix(np.ones(model.n_params))
     )
     problem = FitProblem(target, model, seed=0)
     assert problem.tables is tables
     assert cost(target.flatten(), model.flattened(np.ones(model.n_params))) <= 1e-12
+
+
+def test_vertex_tables_match_the_per_entry_scalar_fill(model):
+    # Signed zeros included: a non-admissible entry is its phase times 0.0.
+    triples = (model.bath_triples_in, model.bath_triples_out)
+    for table, baths in zip(model.tables(), triples):
+        scalar = np.array(
+            [[pr_vertex(*label_spins(label, 3), *bath) for bath in baths] for label in model.basis],
+            dtype=complex,
+        )
+        assert table.tobytes() == scalar.tobytes()
 
 
 def test_two_vertex_model_parameter_count(model):

@@ -789,6 +789,14 @@ def test_cli_spectral_temperature(tmp_path, capsys):
           "--out", "{out}"], "error: FileNotFoundError: "),
         (["spectral-temperature", "--trajectory", "{a}", "--spins", "0,x",
           "--out", "{out}"], "error: ValueError: "),
+        (["spectral-temperature", "--trajectory", "{a}", "--spins", "0,1/0",
+          "--out", "{out}"], "error: ValueError: '1/0' has a zero denominator"),
+        (["spectral-temperature", "--trajectory", "{a}", "--spins", "0,1", "--scale", "nan",
+          "--out", "{out}"], "error: ValueError: energy scale must be positive and finite"),
+        (["two-level", "--lambda1", "nan", "--lambda2", "2", "--out", "{out}"],
+         "error: ValueError: scale parameters must be positive and finite"),
+        (["two-level", "--lambda1", "1", "--lambda2", "2", "--gamma-immirzi", "inf",
+          "--out", "{out}"], "error: ValueError: gamma_immirzi must be finite"),
         (["two-level", "--lambda1", "1", "--lambda2", "2", "--sweep", "0", "1", "2.5",
           "--out", "{out}"], "error: ValueError: invalid literal for int()"),
         (["two-level", "--lambda1", "1", "--lambda2", "2", "--sweep", "0", "1", "-2",
@@ -796,7 +804,8 @@ def test_cli_spectral_temperature(tmp_path, capsys):
     ],
     ids=[
         "compare_unknown_column", "compare_ragged_row", "compare_missing_file",
-        "spectral_missing_file", "spectral_bad_spin", "sweep_float_count",
+        "spectral_missing_file", "spectral_bad_spin", "spectral_zero_denominator",
+        "spectral_nan_scale", "two_level_nan_scale", "two_level_inf_immirzi", "sweep_float_count",
         "sweep_negative_count",
     ],
 )

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import threading
 from fractions import Fraction
@@ -11,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinfoam_oqs import recoupling
 from spinfoam_oqs.recoupling import (
     Spin,
     SpinCapacityError,
+    _admissible,
+    _canonical_keys,
+    _racah_value,
     as_spin,
-    canonical_six_j_key,
     clear_cache,
     triangle_ok,
     wigner6j,
@@ -103,61 +107,78 @@ def test_as_spin_rejects_bool(value):
         as_spin(value)
 
 
+@pytest.mark.parametrize(
+    "value", ["1/0", "0/0", "1/2/3", "inf", float("inf"), float("-inf"), float("nan"), 1e308]
+)
+def test_as_spin_bad_value_raises_value_error(value):
+    # "1/0" used to raise ZeroDivisionError and inf OverflowError.
+    with pytest.raises(ValueError):
+        as_spin(value)
+
+
 def test_triangle_rule():
     assert triangle_ok("1/2", "1/2", 1)
     assert not triangle_ok("1/2", "1/2", "1/2")  # half-integer total
     assert not triangle_ok(1, 1, 3)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=12), min_size=6, max_size=6))
+def canonical_keys(rows) -> list[int]:
+    return _canonical_keys(np.asarray(rows, dtype=np.int64).reshape(-1, 6)).tolist()
+
+
+def unpack(key: int) -> tuple[int, ...]:
+    """The six 2j values of a packed key, 10 bits each, upper row first."""
+    return tuple(key >> shift & 1023 for shift in (50, 40, 30, 20, 10, 0))
+
+
+def pack(tjs) -> int:
+    key = 0
+    for t in tjs:
+        key = key << 10 | t
+    return key
+
+
+def orderings(tjs) -> list[tuple[int, ...]]:
+    """All 24 classically equivalent orderings of a row of 2j values: the
+    column permutations times the upper/lower flips of two columns."""
+    cols = [(tjs[0], tjs[3]), (tjs[1], tjs[4]), (tjs[2], tjs[5])]
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for flip in ((), (0, 1), (0, 2), (1, 2)):
+            arranged = [cols[p][::-1] if i in flip else cols[p] for i, p in enumerate(perm)]
+            out.append(tuple(c[0] for c in arranged) + tuple(c[1] for c in arranged))
+    return out
+
+
+ORDERING_GETTERS = [operator.itemgetter(*ordering) for ordering in orderings(range(6))]
+
+
+def reference_six_j_key(tjs) -> tuple[int, ...]:
+    """Smallest of the 24 orderings, by enumerating every one of them."""
+    return min(get(tjs) for get in ORDERING_GETTERS)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=1023), min_size=6, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_canonicalization_idempotent(tjs):
-    spins = [Spin(t) for t in tjs]
-    key = canonical_six_j_key(spins)
-    assert canonical_six_j_key([Spin(t) for t in key]) == key
-
-
-def reference_six_j_key(spins):
-    """Smallest of the 24 orderings, by enumerating every one of them:
-    the column permutations times the upper/lower flips of two columns."""
-    t = tuple(s.twice_j for s in spins)
-    cols = ((t[0], t[3]), (t[1], t[4]), (t[2], t[5]))
-    flips = ((), (0, 1), (0, 2), (1, 2))
-    return min(
-        (a[0], b[0], c[0], a[1], b[1], c[1])
-        for flip in flips
-        for a, b, c in itertools.permutations(
-            [col[::-1] if i in flip else col for i, col in enumerate(cols)]
-        )
-    )
+    (key,) = canonical_keys([tjs])
+    assert canonical_keys([unpack(key)]) == [key]
+    assert unpack(key) == reference_six_j_key(tjs)
 
 
 def test_canonical_key_matches_enumeration_exhaustively():
-    spins = [Spin(t) for t in range(7)]
-    for combo in itertools.product(spins, repeat=6):
-        assert canonical_six_j_key(combo) == reference_six_j_key(combo)
+    rows = list(itertools.product(range(7), repeat=6))
+    assert canonical_keys(rows) == [pack(reference_six_j_key(row)) for row in rows]
 
 
 def test_all_24_symmetries_share_a_key():
     rng = random.Random(4)
-    for _ in range(50):
-        tjs = random_admissible_six(rng)
-        base = canonical_six_j_key([Spin(t) for t in tjs])
-        cols = [(tjs[0], tjs[3]), (tjs[1], tjs[4]), (tjs[2], tjs[5])]
-        count = 0
-        for perm in itertools.permutations(range(3)):
-            for flip in ((), (0, 1), (0, 2), (1, 2)):
-                arranged = [
-                    (cols[p][1], cols[p][0]) if i in flip else cols[p]
-                    for i, p in enumerate(perm)
-                ]
-                variant = (
-                    arranged[0][0], arranged[1][0], arranged[2][0],
-                    arranged[0][1], arranged[1][1], arranged[2][1],
-                )
-                assert canonical_six_j_key([Spin(t) for t in variant]) == base
-                count += 1
-        assert count == 24
+    rows = [random_admissible_six(rng) for _ in range(50)]
+    assert len(set(orderings(range(6)))) == 24
+    variants = [variant for row in rows for variant in orderings(row)]
+    keys = np.array(canonical_keys(variants)).reshape(len(rows), 24)
+    assert (keys == keys[:, :1]).all()
+    assert keys[:, 0].tolist() == canonical_keys(rows)
 
 
 # --- values -----------------------------------------------------------------
@@ -310,6 +331,44 @@ def test_batch_capacity_error_names_spins():
     assert "41/2" in str(err.value)
 
 
+def test_batch_rejects_a_negative_spin():
+    with pytest.raises(ValueError, match="non-negative, got -1") as err:
+        wigner6j_batch([(2, 2, 2, 2, 2, 2), (1, 1, 2, 1, 1, -1)])
+    assert not isinstance(err.value, SpinCapacityError)
+
+
+any_row = st.lists(st.integers(min_value=0, max_value=12), min_size=6, max_size=6)
+admissible_row = st.randoms(use_true_random=False).map(random_admissible_six)
+
+
+@given(
+    st.lists(st.one_of(any_row, admissible_row), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_gives_the_racah_value_of_the_reference_key(rows, rng):
+    batch = [variant for row in rows for variant in orderings(row)]
+    batch += rng.sample(batch, len(batch) // 2)  # repeated keys within one batch
+    rng.shuffle(batch)
+    expected = []
+    for row in batch:
+        key = reference_six_j_key(row)
+        expected.append(_racah_value(key, recoupling._table) if _admissible(key) else 0.0)
+    clear_cache()
+    cold = wigner6j_batch(batch)
+    warm = wigner6j_batch(batch)
+    assert cold.tobytes() == warm.tobytes() == np.array(expected).tobytes()
+
+
+@given(any_row, st.integers(min_value=0, max_value=5), st.integers(min_value=41, max_value=1023))
+@settings(max_examples=40, deadline=None)
+def test_batch_rows_above_two_j_max_raise_naming_the_spin(row, slot, big):
+    row[slot] = big
+    with pytest.raises(SpinCapacityError) as err:
+        wigner6j_batch([(2, 2, 2, 2, 2, 2), row])
+    assert repr(str(Spin(big))) in str(err.value)
+
+
 def test_concurrent_insert_safety():
     clear_cache()
     rng = random.Random(9)
@@ -329,8 +388,6 @@ def test_concurrent_insert_safety():
 
 
 def test_configure_raises_capacity_then_accepts():
-    from spinfoam_oqs import recoupling
-
     try:
         recoupling.configure(two_j_max=44)
         value = wigner6j(Spin(42), Spin(42), Spin(42), Spin(42), Spin(42), Spin(42))
@@ -339,6 +396,12 @@ def test_configure_raises_capacity_then_accepts():
         recoupling.configure()
     with pytest.raises(SpinCapacityError):
         wigner6j(Spin(42), Spin(42), Spin(42), Spin(42), Spin(42), Spin(42))
+
+
+def test_configure_rejects_a_limit_the_packed_key_cannot_hold():
+    with pytest.raises(ValueError, match="exceeds 1023"):
+        recoupling.configure(two_j_max=1024)
+    assert recoupling.cache_info()["two_j_max"] == 40
 
 
 def test_spin_range():

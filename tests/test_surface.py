@@ -19,6 +19,7 @@ THREE_LEVEL = "acceptance criterion 4, through test_lindblad._three_level_benchm
 
 KEPT = {
     "pr_transition": "test oracle: the entrywise W of test_fused_W_matches_entrywise",
+    "pr_vertex": "test oracle: the scalar signed 6j that the vertex-tensor tests compare against",
     "dissipator": "test oracle: the D_R rho that dissipator_matrix is checked against",
     "kraus_from_map": THREE_LEVEL,
     "adiabatic_eliminate": THREE_LEVEL,
