@@ -690,26 +690,16 @@ def transition_matrix(provider, basis: Sequence) -> TransitionMatrix:
 
 def kappa_from_W(W: TransitionMatrix, convention: str = "over_n") -> KappaMatrix:
     """Normalized squared amplitudes |W|^2 as damping probabilities."""
-    sq = np.abs(W.entries) ** 2
-    if convention == "over_n":
-        norms = sq.sum(axis=0)
-        dead = np.where(norms == 0)[0]
-        if dead.size:
-            raise ValueError(
-                f"all-zero amplitude column for in state(s) {[W.basis[m] for m in dead]}"
-            )
-        kappa = sq / norms[None, :]
-    elif convention == "over_m":
-        norms = sq.sum(axis=1)
-        dead = np.where(norms == 0)[0]
-        if dead.size:
-            raise ValueError(
-                f"all-zero amplitude row for out state(s) {[W.basis[n] for n in dead]}"
-            )
-        kappa = sq / norms[:, None]
-    else:
+    if convention not in ("over_n", "over_m"):
         raise ValueError(f"unknown convention {convention!r}")
-    return KappaMatrix(W.basis, kappa, convention)
+    axis = 0 if convention == "over_n" else 1  # over_n sums each in column, over_m each out row
+    sq = np.abs(W.entries) ** 2
+    norms = sq.sum(axis=axis, keepdims=True)
+    dead = np.flatnonzero(norms == 0)
+    if dead.size:
+        side = "column for in" if axis == 0 else "row for out"
+        raise ValueError(f"all-zero amplitude {side} state(s) {[W.basis[i] for i in dead]}")
+    return KappaMatrix(W.basis, sq / norms, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +749,13 @@ def interference_weight(lam: float, p: AsymptoticParams) -> float:
     if not 0 < lam < math.inf:
         raise ValueError(f"scale parameter must be positive and finite, got {lam}")
     osc = 2.0 * lam * p.gamma_immirzi * p.regge_action
-    return float(abs(np.exp(1j * osc) + p.alpha) * p.n_plus_abs)
+    if not math.isfinite(osc):
+        raise ValueError(f"phase 2 lambda gamma S is not finite for lambda={lam}")
+    with np.errstate(over="ignore"):
+        weight = float(abs(np.exp(1j * osc) + p.alpha) * p.n_plus_abs)
+    if not math.isfinite(weight):
+        raise ValueError(f"interference weight is not finite for lambda={lam}")
+    return weight
 
 
 def two_level_rho11(lam1: float, lam2: float, p: AsymptoticParams) -> float:
@@ -772,12 +768,19 @@ def two_level_rho11(lam1: float, lam2: float, p: AsymptoticParams) -> float:
     """
     if not (0 < lam1 < math.inf and 0 < lam2 < math.inf):
         raise ValueError(f"scale parameters must be positive and finite, got {lam1}, {lam2}")
-    a = lam1**4 * interference_weight(lam2, p)
-    b = lam2**4 * interference_weight(lam1, p)
+    try:
+        a = lam1**4 * interference_weight(lam2, p)
+        b = lam2**4 * interference_weight(lam1, p)
+    except OverflowError:
+        raise ValueError(f"lambda**4 is not finite for lambda1={lam1}, lambda2={lam2}") from None
     if a == 0.0 and b == 0.0:
         raise DegenerateSteadyStateError(
             "both interference weights vanish; steady state undefined"
         )
+    if a == b == math.inf:
+        raise ValueError("both rates lambda1**4 f(lambda2) and lambda2**4 f(lambda1) are infinite")
+    if a + b == math.inf:  # halving is exact at this size, and the halves' sum is finite
+        a, b = a / 2, b / 2
     s = a + b
     if a <= b:
         return float(a / s)

@@ -9,10 +9,10 @@ cascades of ``qed_reference`` included, makes its (steps + 1, d, d) stack
 of states in ``_stepped``, which steps them all, then checks the CPTP
 invariants of every state, the initial one included, in one batch.  Its
 one ``block_min_eigenvalues`` call (per block of the coherence support)
-gives the minima that ``Trajectory.min_eigenvalues`` keeps.  Eigenvalues
-in (-1e-10, 0) are clamped to zero with renormalization and counted; a
-clamp changes a stored state after the initial one, never the next step's
-input.
+gives the minima that ``Trajectory.min_eigenvalues`` keeps.  Each state is
+stored as it was stepped.  Eigenvalues in (-1e-10, 0) are clamped to zero
+with renormalization and counted; a clamp changes a stored state after the
+initial one, never the next step's input.
 
 The effective generator sum kappa[n,m] D_{|n><m|} is purely incoherent: it
 is a classical (Pauli) rate equation on the populations, and every
@@ -23,9 +23,13 @@ does not form it either: it returns one diagonal steady state per closed
 class of the jump graph, each the null vector of that class's d_C x d_C
 block of the population rate matrix, ordered by the class's smallest
 basis index.  The generic ``generator`` builds from ``dissipator_matrix``
-products, and the generic ``steady_states`` takes an SVD of any D^2 x D^2
-generator; they are the references the structured paths are tested
-against.
+products; it is the reference the structured paths are tested against.
+
+The large-time questions of any D^2 x D^2 generator L read one object, the
+projector P onto ker L along the range of L, from one SVD: ``limit_channel``
+returns it (the channel lim exp(t L) that adiabatic elimination starts
+from), and ``steady_states`` returns the images under it of probe states
+that span ker L, one state per kernel dimension.
 """
 
 from __future__ import annotations
@@ -42,20 +46,19 @@ POSITIVITY_TOL = 1e-10
 KRAUS_COMPLETENESS_TOL = 1e-10
 CHOI_NEGATIVITY_TOL = 1e-8
 KRAUS_KEEP_TOL = 1e-12
-KERNEL_TOL = 1e-9
 INVARIANCE_TOL = 1e-8
-LIMIT_HORIZON_FACTOR = 50.0
+ZERO_RATE_TOL = 1e-12  # relative to ||L||: the generator's kernel (see _kernel_projector)
 POISSON_TAIL = 2.0**-60  # uniformization stops at the first Poisson weight below this
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """``scipy.linalg.expm``, imported on the first call.
 
-    Only the generic paths need it: ``evolve_continuous``,
-    ``limit_channel``, the kicks of ``evolve_kicked``, the cascades of
-    ``qed_reference`` and a population rate array that
-    ``_population_step`` cannot uniformize.  So neither a package import nor
-    a CLI command on a valid config loads ``scipy.linalg``.
+    Only the generic paths need it: ``evolve_continuous``, the kicks of
+    ``evolve_kicked``, the cascades of ``qed_reference`` and a population
+    rate array that ``_population_step`` cannot uniformize.  So neither a
+    package import nor a CLI command on a valid config loads
+    ``scipy.linalg``.
     """
     from scipy.linalg import expm as scipy_expm
 
@@ -370,17 +373,14 @@ class Trajectory:
 def _stepped(step, rho0: np.ndarray, steps: int, g: float, context: str) -> Trajectory:
     """rho0 and the ``steps`` states after it; ``step(k, previous, out)`` writes state k.
 
-    All states are stepped, each from the raw one before it, then checked in
-    one batch: Hermiticity on the raw states (a non-finite entry fails it),
-    trace and the smallest eigenvalue (one ``block_min_eigenvalues`` call)
-    on the stored ones.  rho0 is stored as given, and every later state
-    within the Hermiticity tolerance as its Hermitian part, even an exactly
-    Hermitian one: its Hermitian part can differ from it in the sign of a
-    zero entry, which the CSV files print.  The states that fail a check or
-    have a negative eigenvalue go through ``clamp_density_matrix`` in step
-    order, as ``"initial state"`` or ``"{context} {k}"``; it raises at the
-    first invalid one.  A clamp replaces a stored state after rho0; with
-    none, the minima are kept.
+    All states are stepped, each from the one before it, and stored as
+    stepped, then checked in one batch: Hermiticity (a non-finite entry
+    fails it), trace and the smallest eigenvalue (one
+    ``block_min_eigenvalues`` call).  The states that fail a check or have a
+    negative eigenvalue go through ``clamp_density_matrix`` in step order,
+    as ``"initial state"`` or ``"{context} {k}"``; it raises at the first
+    invalid one.  A clamp, the only write to a stored state, replaces a
+    state after rho0; with none, the minima are kept.
     """
     states = np.empty((steps + 1,) + np.shape(rho0), dtype=complex)
     states[0] = rho0
@@ -393,10 +393,6 @@ def _stepped(step, rho0: np.ndarray, steps: int, g: float, context: str) -> Traj
         for start in range(0, steps + 1, _BLOCK):
             chunk, defect = states[start : start + _BLOCK], herm[start : start + _BLOCK]
             defect[:] = np.abs(chunk - np.swapaxes(chunk, 1, 2).conj()).max(axis=(1, 2))
-            # rho0 is stored as given, and a non-Hermitian state raw, for
-            # clamp_density_matrix to report its defect.
-            symmetrize = (defect <= HERMITICITY_TOL) & (np.arange(start, start + len(chunk)) > 0)
-            chunk[symmetrize] = hermitian_part(chunk[symmetrize])
         trace_defect = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     valid = (herm <= HERMITICITY_TOL) & (trace_defect <= TRACE_TOL)
     checked = np.append(valid, False).argmin()  # the first invalid state, or steps + 1
@@ -424,127 +420,81 @@ def evolve_continuous(L: Superoperator, rho0: np.ndarray, t: float) -> np.ndarra
     return _stepped(step, rho0, int(t != 0.0), t, f"evolution to t={t}, step").states[-1]
 
 
-def limit_channel(L: Superoperator) -> Superoperator:
-    """Large-time channel exp(t* L) with a doubling convergence check.
+def _kernel_projector(L: Superoperator) -> tuple[np.ndarray, bool]:
+    """Projector P onto ker L along the range of L, and whether a nonzero
+    eigenvalue of L has a real part above -``ZERO_RATE_TOL`` ||L||.
 
-    t* is set to LIMIT_HORIZON_FACTOR over the smallest nonzero decay rate; the
-    channel is accepted once doubling the horizon moves it by less than
-    1e-10.
+    dim ker L is k, the number of eigenvalues within ``ZERO_RATE_TOL`` ||L||
+    of 0 (the singular values of a non-normal L can lie far below its slow
+    rates).  With R and Q the k right and left singular vectors of the
+    smallest singular values, P = R (Q^H R)^-1 Q^H.  Exactly k singular
+    values must be that small too, or the zero eigenvalue is not semisimple.
+    """
+    if not np.isfinite(L.matrix).all():
+        raise InvariantViolation("generator has non-finite entries")
+    u, s, vh = np.linalg.svd(L.matrix)
+    zero_rate = ZERO_RATE_TOL * (s[0] or 1.0)
+    eigenvalues = np.linalg.eigvals(L.matrix)
+    zero = np.abs(eigenvalues) <= zero_rate
+    k, nullity = int(zero.sum()), int(np.sum(s <= zero_rate))
+    if k == 0:
+        raise EmptyKernelError("generator has no eigenvalue within 1e-12 ||L|| of 0")
+    if nullity != k:
+        raise InvariantViolation(
+            f"zero eigenvalue of the generator is not semisimple: {k} eigenvalue(s), "
+            f"{nullity} singular value(s) within 1e-12 ||L|| of 0"
+        )
+    R, Qh = vh[-k:].conj().T, u[:, -k:].conj().T
+    return R @ np.linalg.solve(Qh @ R, Qh), bool(np.any(~zero & (eigenvalues.real > -zero_rate)))
+
+
+def limit_channel(L: Superoperator) -> Superoperator:
+    """Large-time channel lim exp(t L), the projector of ``_kernel_projector``.
+
+    It exists only if every nonzero eigenvalue decays; one with a zero real
+    part (an oscillation, as of a purely Hamiltonian L) raises.
     """
     if L.kind != "generator":
         raise ValueError("limit_channel needs a generator")
-    eigvals = np.linalg.eigvals(L.matrix)
-    rates = np.abs(eigvals.real)
-    nonzero = rates[rates > 1e-12]
-    if nonzero.size == 0:
-        return Superoperator(np.eye(L.matrix.shape[0], dtype=complex), "channel")
-    t_star = LIMIT_HORIZON_FACTOR / float(nonzero.min())
-    U = expm(t_star * L.matrix)
-    for _ in range(8):
-        U2 = U @ U
-        if np.max(np.abs(U2 - U)) <= 1e-10:
-            return Superoperator(U2, "channel")
-        U = U2
-    raise InvariantViolation(
-        "large-time limit did not converge (purely oscillatory part present?)"
-    )
+    P, undamped = _kernel_projector(L)
+    if undamped:
+        raise InvariantViolation("no large-time limit: a nonzero eigenvalue does not decay")
+    return Superoperator(P, "channel")
 
 
 def steady_states(L: Superoperator) -> list[np.ndarray]:
-    """Density-matrix representatives spanning the kernel of the generator.
+    """dim ker L steady states, the kernel projections P rho of probe states.
 
-    The kernel is taken from an SVD, Hermitized and orthonormalized.  The
-    first representative is the kernel projection of the maximally mixed
-    state; the remaining (traceless) kernel directions are mixed into it
-    with the largest coefficient that keeps the state positive.
+    The probes are I/d, each |k><k|, then for k < l (|k> + |l>)(<k| + <l|)/2
+    and (|k> + i|l>)(<k| - i<l|)/2.  They span all matrices, so their images
+    span ker L; an image is kept, in that order, when its distance from the
+    span of the kept ones exceeds ``ZERO_RATE_TOL`` times its norm.  The
+    first state is the one that I/d relaxes to.  Each passes
+    ``clamp_density_matrix`` and ||L rho|| <= 1e-10.
     """
     if L.kind != "generator":
         raise ValueError("steady_states needs a generator")
     d = L.dim
-    _, s, vh = np.linalg.svd(L.matrix)
-    scale = s.max() if s.size and s.max() > 0 else 1.0
-    null_vectors = [vh[i].conj() for i in range(len(s)) if s[i] <= KERNEL_TOL * scale]
-    if not null_vectors:
-        raise EmptyKernelError("no steady state found within tolerance")
-
-    # Hermitize and orthonormalize in the Hilbert-Schmidt inner product.
-    basis: list[np.ndarray] = []
-    candidates = []
-    for v in null_vectors:
-        B = unvec(v, d)
-        candidates.append((B + B.conj().T) / 2)
-        candidates.append(1j * (B - B.conj().T) / 2)
-    for C in candidates:
-        for B in basis:
-            C = C - np.trace(B.conj().T @ C) * B
-        nrm = np.linalg.norm(C)
-        if nrm > 1e-10:
-            basis.append(C / nrm)
-    if not basis:
-        raise EmptyKernelError("kernel contains no Hermitian directions")
-
-    def project(X):
-        out = np.zeros_like(X, dtype=complex)
-        for B in basis:
-            out += np.trace(B.conj().T @ X) * B
-        return out
-
-    reps: list[np.ndarray] = []
-    base = project(np.eye(d) / d)
-    tr = np.trace(base).real
-    if abs(tr) > 1e-12:
-        base = base / tr
-        vals = np.linalg.eigvalsh(base)
-        if vals.min() >= -POSITIVITY_TOL:
-            base, _ = clamp_density_matrix(base, "steady base state")
-            reps.append(base)
-    if not reps:
-        # Fall back to any basis element that normalizes to a state.
-        for B in basis:
-            tr = np.trace(B).real
-            if abs(tr) < 1e-12:
-                continue
-            cand = B / tr
-            if np.linalg.eigvalsh(cand).min() >= -POSITIVITY_TOL:
-                cand, _ = clamp_density_matrix(cand, "steady state")
-                reps.append(cand)
-                break
-    if not reps:
-        raise EmptyKernelError(
-            "kernel is nonempty but contains no positive unit-trace element"
-        )
-    base = reps[0]
-
-    for B in basis:
-        direction = B - np.trace(B).real / d * np.eye(d)
-        direction = project(direction)
-        nrm = np.linalg.norm(direction)
-        if nrm < 1e-12:
-            continue
-        direction /= nrm
-        lo = float(np.linalg.eigvalsh(direction).min())
-        if lo >= -1e-14:
-            continue  # positive direction, already representable
-        vals_base = np.linalg.eigvalsh(base)
-        t = 0.5 * float(vals_base.min()) / (-lo) if vals_base.min() > 0 else 0.0
-        if t <= 0:
-            continue
-        cand = base + t * direction
-        cand = cand / np.trace(cand).real
-        if np.linalg.eigvalsh(cand).min() < -POSITIVITY_TOL:
-            continue
-        cand, _ = clamp_density_matrix(cand, "steady state")
-        if all(np.linalg.norm(cand - r) > 1e-10 for r in reps):
-            reps.append(cand)
-
-    checked = []
-    for rho in reps:
-        residual = np.max(np.abs(L.apply(rho)))
-        if residual <= 1e-10:
-            checked.append(rho)
-    if not checked:
-        raise EmptyKernelError("candidate steady states fail ||L rho|| <= 1e-10")
-    return checked
+    P, _ = _kernel_projector(L)
+    eye = np.eye(d)
+    pure = [eye[k] for k in range(d)] + [
+        (eye[k] + phase * eye[l]) / math.sqrt(2)
+        for k in range(d) for l in range(k + 1, d) for phase in (1, 1j)
+    ]
+    images = P @ np.stack([vec(eye / d)] + [vec(np.outer(psi, psi.conj())) for psi in pure], axis=1)
+    basis = np.zeros((d * d, 0), dtype=complex)
+    states = []
+    for image in images.T:
+        residual = image - basis @ (basis.conj().T @ image)
+        distance = np.linalg.norm(residual)
+        if distance > ZERO_RATE_TOL * np.linalg.norm(image):
+            basis = np.column_stack([basis, residual / distance])
+            rho, _ = clamp_density_matrix(unvec(image, d), "steady state")
+            defect = float(np.max(np.abs(L.apply(rho))))
+            if defect > 1e-10:
+                raise EmptyKernelError(f"steady state fails ||L rho|| <= 1e-10 ({defect:.2e})")
+            states.append(rho)
+    return states
 
 
 def _closed_classes(jumps: np.ndarray) -> list[np.ndarray]:

@@ -513,6 +513,20 @@ def test_kappa_zero_column_names_state():
     assert "hi" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "convention, entries, message",
+    [
+        ("over_n", [[1.0, 0.0], [1.0, 0.0]], "all-zero amplitude column for in state(s) ['hi']"),
+        ("over_m", [[1.0, 1.0], [0.0, 0.0]], "all-zero amplitude row for out state(s) ['hi']"),
+    ],
+)
+def test_kappa_dead_state_message_per_convention(convention, entries, message):
+    W = TransitionMatrix(("lo", "hi"), np.array(entries, dtype=complex))
+    with pytest.raises(ValueError) as err:
+        kappa_from_W(W, convention)
+    assert str(err.value) == message
+
+
 def test_kappa_matrix_rejects_bad_normalization():
     with pytest.raises(ValueError):
         KappaMatrix(("a", "b"), np.array([[0.5, 0.5], [0.4, 0.5]]), "over_n")
@@ -605,6 +619,31 @@ def test_two_level_complement_exact():
         for alpha in (0.0, 1.0, 0.5 + 0.5j):
             p = AsymptoticParams(alpha=alpha)
             assert two_level_rho11(l1, l2, p) + two_level_rho11(l2, l1, p) == 1.0
+
+
+@pytest.mark.parametrize(
+    "lam1, lam2, params, message",
+    [
+        (1e100, 2.0, PARAMS, r"lambda\*\*4 is not finite"),
+        (1e70, 2.0, AsymptoticParams(gamma_immirzi=1e300, regge_action=1e10),
+         "phase 2 lambda gamma S is not finite"),
+        (1.0, 2.0, AsymptoticParams(alpha=1e308, n_plus_abs=1e308),
+         "interference weight is not finite"),
+        (1e77, 1e77, AsymptoticParams(alpha=1e308), "are infinite"),
+    ],
+    ids=["fourth_power", "phase", "weight", "both_rates"],
+)
+def test_two_level_names_a_quantity_that_is_not_finite(lam1, lam2, params, message):
+    with pytest.raises(ValueError, match=message):
+        two_level_rho11(lam1, lam2, params)
+
+
+def test_two_level_rates_whose_sum_overflows():
+    # Each rate is finite, their sum is not: the shares are still exact.
+    p = AsymptoticParams(alpha=0.0)
+    assert two_level_rho11(1e77, 1e77, p) == 0.5
+    assert two_level_rho11(1e77, 2.0, p) == 1.0
+    assert two_level_rho11(1e77, 9e76, p) + two_level_rho11(9e76, 1e77, p) == 1.0
 
 
 def test_two_level_degenerate_error():

@@ -797,6 +797,11 @@ def test_cli_spectral_temperature(tmp_path, capsys):
          "error: ValueError: scale parameters must be positive and finite"),
         (["two-level", "--lambda1", "1", "--lambda2", "2", "--gamma-immirzi", "inf",
           "--out", "{out}"], "error: ValueError: gamma_immirzi must be finite"),
+        (["two-level", "--lambda1", "1e100", "--lambda2", "2", "--out", "{out}"],
+         "error: ValueError: lambda**4 is not finite"),
+        (["two-level", "--lambda1", "1e70", "--lambda2", "2", "--gamma-immirzi", "1e300",
+          "--regge-action", "1e10", "--out", "{out}"],
+         "error: ValueError: phase 2 lambda gamma S is not finite"),
         (["two-level", "--lambda1", "1", "--lambda2", "2", "--sweep", "0", "1", "2.5",
           "--out", "{out}"], "error: ValueError: invalid literal for int()"),
         (["two-level", "--lambda1", "1", "--lambda2", "2", "--sweep", "0", "1", "-2",
@@ -805,7 +810,8 @@ def test_cli_spectral_temperature(tmp_path, capsys):
     ids=[
         "compare_unknown_column", "compare_ragged_row", "compare_missing_file",
         "spectral_missing_file", "spectral_bad_spin", "spectral_zero_denominator",
-        "spectral_nan_scale", "two_level_nan_scale", "two_level_inf_immirzi", "sweep_float_count",
+        "spectral_nan_scale", "two_level_nan_scale", "two_level_inf_immirzi",
+        "two_level_overflowing_scale", "two_level_overflowing_phase", "sweep_float_count",
         "sweep_negative_count",
     ],
 )

@@ -172,6 +172,72 @@ def test_steady_states_residual_bound():
         assert np.max(np.abs(L.apply(rho))) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1, 0, 0.3], [0, 1, 0.3], [0, 0, 0.4]],
+        [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.3, 0.6], [0, 0, 0.7, 0.4]],
+    ],
+    ids=["two_classes_and_a_transient", "two_dense_classes"],
+)
+def test_steady_states_one_per_closed_class(entries):
+    entries = np.array(entries, dtype=float)
+    km = KappaMatrix(tuple(str(i) for i in range(len(entries))), entries, "over_n")
+    L = kappa_generator(km)
+    states = steady_states(L)
+    assert len(states) == 2
+    for rho in states:
+        assert abs(np.trace(rho) - 1.0) <= 1e-12 and np.linalg.eigvalsh(rho).min() >= 0.0
+        assert np.max(np.abs(L.apply(rho))) <= 1e-10
+    # The first is the state that I/d relaxes to.
+    relaxed = unvec(expm(200.0 * L.matrix) @ vec(np.eye(len(entries)) / len(entries)), len(entries))
+    assert np.max(np.abs(states[0] - relaxed)) <= 1e-12
+
+
+@pytest.mark.parametrize("slow", [1e-9, 1e-11])
+def test_kernel_of_a_stiff_generator_leaves_out_the_slow_mode(slow):
+    # |2> decays to |1> at rate 1, |1> to |0> at a slow rate: only |0><0|
+    # is steady, however slow the second decay.
+    L = generator(None, [(1.0, jump(3, 1, 2)), (slow, jump(3, 0, 1))])
+    assert np.max(np.abs(limit_channel(L).apply(pure_state(3, 2)) - pure_state(3, 0))) <= 1e-10
+    states = steady_states(L)
+    assert len(states) == 1
+    assert np.max(np.abs(states[0] - pure_state(3, 0))) <= 1e-10
+
+
+def test_limit_channel_of_an_oscillating_generator_raises():
+    with pytest.raises(InvariantViolation, match="does not decay"):
+        limit_channel(generator(np.diag([0.0, 1.0]), []))
+
+
+def test_kernel_of_a_non_semisimple_generator_raises():
+    # A nilpotent shift has all four eigenvalues at 0 but a one-dimensional
+    # kernel: no projector onto it commutes with L.
+    L = Superoperator(np.diag(np.ones(3), 1).astype(complex), "generator")
+    for call in (limit_channel, steady_states):
+        with pytest.raises(InvariantViolation, match="not semisimple"):
+            call(L)
+
+
+def test_limit_channel_matches_a_long_evolution():
+    # Random dissipative generators: exp(t L) at a horizon of 40 over the
+    # slowest decay rate, squared until it stops moving.
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        d = int(rng.integers(2, 6))
+        H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        dampers = [
+            (rng.uniform(0.1, 1.0), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        L = generator(rng.uniform() * (H + H.conj().T) / 2, dampers)
+        rates = -np.linalg.eigvals(L.matrix).real
+        U = expm(40.0 / rates[rates > 1e-9].min() * L.matrix)
+        while np.max(np.abs(U @ U - U)) > 1e-13:
+            U = U @ U
+        assert np.max(np.abs(limit_channel(L).matrix - U)) <= 1e-12
+
+
 def test_steady_states_empty_kernel_error():
     # a channel matrix misdeclared as generator has no kernel
     L = Superoperator(np.eye(4, dtype=complex), "generator")
@@ -530,11 +596,11 @@ def test_evolve_effective_rejects_state_of_other_dimension(steps):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_steady_states_multi_class_first_representative_agrees(seed):
+def test_steady_states_multi_class_representatives_agree(seed):
     # Two or three closed classes, each dense inside, with no rate between
-    # them: the kernel is degenerate, so only the count and the first
-    # representative (the kernel projection of I/d) are independent of the
-    # SVD basis; later ones are not compared.
+    # them: the kernel is degenerate, but its projector does not depend on
+    # the SVD basis, so every representative (the projection of each kept
+    # probe state) agrees, not only the first.
     rng = np.random.default_rng(seed)
     d = int(rng.integers(4, 11))
     group = rng.permutation(d) % (2 + seed % 2)
@@ -542,9 +608,8 @@ def test_steady_states_multi_class_first_representative_agrees(seed):
     km = KappaMatrix(tuple(str(i) for i in range(d)), raw / raw.sum(axis=0), "over_n")
     direct = steady_states(kappa_generator(km))
     reference = steady_states(reference_generator(km))
-    assert len(direct) >= 2
-    assert len(direct) == len(reference)
-    assert np.max(np.abs(direct[0] - reference[0])) <= 1e-12
+    assert len(direct) == len(reference) == 2 + seed % 2
+    assert np.max(np.abs(np.array(direct) - np.array(reference))) <= 1e-12
 
 
 def block_kappa(rng, d, blocks, transient, convention, zero_frac, dead):
@@ -587,8 +652,9 @@ def closed_class_count(entries):
 
 
 def span_projector(vectors):
-    q, _ = np.linalg.qr(np.asarray(vectors, dtype=float).T)
-    return q @ q.T
+    u, s, _ = np.linalg.svd(np.asarray(vectors, dtype=float).T, full_matrices=False)
+    u = u[:, s > 1e-9 * s.max()]  # the vectors may be dependent
+    return u @ u.T
 
 
 block_kappa_tables = st.builds(
@@ -627,9 +693,15 @@ def test_kappa_steady_states_one_per_closed_class(km):
     kernel = vh[s <= 1e-9 * max(s.max(), 1.0)]
     assert np.max(np.abs(span_projector(pops) - span_projector(kernel))) <= 1e-9
 
+    # The generic kernel adds the coherences between states that no jump
+    # leaves, in both directions; its diagonals span the same populations.
+    generic = steady_states(L)
+    dead = int(np.sum(km.entries.sum(axis=0) == 0))
+    assert len(generic) == len(states) + dead * (dead - 1)
+    diagonals = [np.diag(rho).real for rho in generic]
+    assert np.max(np.abs(span_projector(diagonals) - span_projector(pops))) <= 1e-9
     if len(states) == 1:
-        reference = steady_states(L)[0]
-        assert np.max(np.abs(states[0] - reference)) <= 1e-12
+        assert np.max(np.abs(states[0] - generic[0])) <= 1e-12
 
 
 # --- invariants ----------------------------------------------------------------------

@@ -60,7 +60,8 @@ FIXTURE = Path(__file__).parent / "fixtures" / "relax_wide_s0_b2_6.json"
 def per_step_evolve(kappa, g, steps, rho0):
     """One full ``clamp_density_matrix`` per step; the raw state feeds the next.
 
-    Returns the stored states and each state's clamp count.
+    A state is stored raw where the clamp clamps nothing.  Returns the
+    stored states and each state's clamp count.
     """
     pop, decay = _rates(kappa)
     clamp_density_matrix(rho0, "initial state")
@@ -75,7 +76,7 @@ def per_step_evolve(kappa, g, steps, rho0):
         np.fill_diagonal(state, populations)
         rho, clamped = clamp_density_matrix(state, f"step {k + 1}")
         clamps.append(clamped)
-        states.append(rho)
+        states.append(rho if clamped else state)
     return np.array(states), np.array(clamps)
 
 
@@ -239,18 +240,23 @@ def test_trajectory_keeps_the_minima_of_its_check(case):
         assert traj.min_eigenvalues().tobytes() == block_min_eigenvalues(traj.states).tobytes()
 
 
-def test_stored_states_are_the_hermitian_parts_bit_for_bit():
+def test_stored_states_are_the_stepped_states_bit_for_bit():
     # A negative real amplitude leaves negative zeros in the imaginary parts
-    # of the raw coherences, which stay exactly Hermitian.  Their Hermitian
-    # part, (rho + rho^dag) / 2 in complex arithmetic, turns some of those
-    # zeros positive, and the CSV prints the stored sign.
+    # of the coherences.  Each state is stored as it was stepped, so the CSV
+    # prints that sign on every row.  A start within 1e-12 of Hermitian, but
+    # not exactly Hermitian, keeps its anti-Hermitian residue in every state.
     kappa = np.array([[0.5, 0.2, 0.0], [0.5, 0.3, 0.4], [0.0, 0.5, 0.6]])
     rho0 = state_from_amplitudes([-0.7, 0.5, 0.4])
+    nearly = rho0.copy()
+    nearly[1, 0] += 1e-13j
+    for start in (rho0, nearly):
+        traj = evolve_effective(kappa, EvolutionConfig(0.5, 3), start)
+        states, _ = per_step_evolve(kappa, 0.5, 3, start)
+        assert traj.states.tobytes() == states.tobytes()
+    assert (traj.states[:, 1, 0] != traj.states[:, 0, 1].conj()).all()
     traj = evolve_effective(kappa, EvolutionConfig(0.5, 3), rho0)
-    states, _ = per_step_evolve(kappa, 0.5, 3, rho0)
-    assert traj.states.tobytes() == states.tobytes()
     rows = trajectory_csv(traj, ["a", "b", "c"], [(1, 0)]).splitlines()
-    assert [row.split(",")[6] for row in rows[1:]] == ["-0.0", "0.0", "0.0", "0.0"]
+    assert [row.split(",")[6] for row in rows[1:]] == ["-0.0"] * 4
 
 
 def test_property_cases_include_clamps_and_violations():
