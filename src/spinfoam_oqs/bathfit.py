@@ -311,130 +311,43 @@ def chain_target(
     return transition_matrix(provider, list(basis))
 
 
-# Draws per batch of the sampler; bounds the (chunk, d^2) work arrays of the
-# cost evaluation and the Python ints held while seeding.
+# Draws per batch of the sampler; bounds the (chunk, n_params) draws and
+# the (chunk, d) vertex weights held at once.  Chunks are consecutive
+# row-major blocks of one stream, so the chunk size never changes a draw.
 _SAMPLE_CHUNK = 512
 
-# SeedSequence's hash constants and PCG64's LCG multiplier, as NumPy defines
-# them (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h).
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_words(seed: int, n: int) -> np.ndarray:
-    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for each i < n.
-
-    SeedSequence hashes its entropy words with constants that do not depend
-    on the data, so the pools and output words of all n sequences come from
-    the same uint32 array operations.  The entropy is the seed's
-    little-endian 32-bit words followed by i as one word.
-    """
-    if n >= 2**32:
-        raise ValueError(f"n must be below 2**32 (one 32-bit draw index), got {n}")
-    entropy = []
-    while True:
-        entropy.append(np.full(n, seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy.append(np.arange(n, dtype=np.uint32))
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ result >> 16
-
-    zeros = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # Eight output words cycled from the pool, paired little-endian.
-    out_const, halves = _INIT_B, []
-    for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ out_const
-        out_const = out_const * _MULT_B & _MASK32
-        value = value * out_const
-        halves.append((value ^ value >> 16).astype(np.uint64))
-    return np.stack([halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)], axis=1)
-
-
-def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
-    """``state`` and ``inc`` of PCG64 seeded with each row's 64-bit words.
-
-    PCG64 sets ``inc = seq << 1 | 1`` and takes two LCG steps around
-    adding the initial state, with ``state = w0 w1`` and ``seq = w2 w3``.
-    The words become Python ints, so the arithmetic is mod 2**128.
-    """
-    w = words.astype(object)
-    inc = ((w[:, 2] << 64 | w[:, 3]) << 1 | 1) & _MASK128
-    state = (((w[:, 0] << 64 | w[:, 1]) + inc) * _PCG64_MULT + inc) & _MASK128
-    return state.tolist(), inc.tolist()
-
-
-def _draws(seed: int, n: int, n_params: int) -> np.ndarray:
-    """Row i is ``default_rng([seed, i]).exponential(1.0, n_params)``.
-
-    One generator is restarted at each row's derived state instead of
-    building n generators.  States are derived a chunk at a time, which
-    keeps n of their Python ints from being held at once.
-    """
-    words = _seed_words(seed, n)
-    bitgen = np.random.PCG64(0)
-    generator = np.random.Generator(bitgen)
-    restart = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    draws = np.empty((n, n_params))
-    for lo in range(0, n, _SAMPLE_CHUNK):
-        states, incs = _pcg64_states(words[lo:lo + _SAMPLE_CHUNK])
-        for row, state, inc in zip(draws[lo:lo + _SAMPLE_CHUNK], states, incs):
-            restart["state"] = {"state": state, "inc": inc}
-            bitgen.state = restart
-            generator.standard_exponential(out=row)
-    return draws
+# Below this cost, 2 - 2 rho has cancelled to an error of about 1e-16 / c,
+# so the cost is recomputed from the unit model table itself.
+_DIRECT_BELOW = 1e-6
 
 
 def _sample_costs(problem: FitProblem, n: int) -> np.ndarray:
     """Cost at each of n seeded draws from the per-vertex weight simplexes."""
     table_in, table_out = problem.tables
-    target_flat = problem.target.flatten()
-    target_unit = target_flat / np.linalg.norm(target_flat)
-
-    # One exponential per parameter; normalizing each vertex's half gives
-    # a uniform point on that vertex's weight simplex.
-    draws = _draws(problem.seed, n, problem.model.n_params)
+    target_unit = _unit(problem.target.entries)
     k = table_in.shape[1]
-    theta_in, theta_out = draws[:, :k], draws[:, k:]
-    theta_in /= theta_in.sum(axis=1, keepdims=True)
-    theta_out /= theta_out.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(problem.seed)
 
     values = np.empty(n)
     for lo in range(0, n, _SAMPLE_CHUNK):
         hi = min(lo + _SAMPLE_CHUNK, n)
-        w_in = theta_in[lo:hi] @ table_in.T
-        w_out = theta_out[lo:hi] @ table_out.T
-        flat = (w_out[:, :, None] * w_in[:, None, :]).reshape(hi - lo, -1)
-        norm = np.linalg.norm(flat, axis=1)
+        # One exponential per parameter: normalized per vertex, they are a
+        # uniform point on each weight simplex, and the cost ignores the
+        # normalization.
+        theta = rng.standard_exponential((hi - lo, problem.model.n_params))
+        w_in = theta[:, :k] @ table_in.T
+        w_out = theta[:, k:] @ table_out.T
+        # The cost is sqrt(2 - 2 rho), rho = Re<T, w_out w_in^T> / norms,
+        # without forming the (chunk, d^2) outer products.
+        overlap = np.einsum("ni,ni->n", w_out, w_in @ target_unit.conj().T).real
+        norm = np.linalg.norm(w_out, axis=1) * np.linalg.norm(w_in, axis=1)
         dead = norm == 0
-        # In place, each row becomes its unit vector minus the target's.
-        flat /= np.where(dead, 1.0, norm)[:, None]
-        flat -= target_unit
-        values[lo:hi] = np.where(dead, 2.0, np.linalg.norm(flat, axis=1))
+        rho = overlap / np.where(dead, 1.0, norm)
+        chunk = np.where(dead, 2.0, np.sqrt(np.clip(2.0 - 2.0 * rho, 0.0, 4.0)))
+        for row in np.flatnonzero(chunk < _DIRECT_BELOW):
+            model = _unit(np.outer(w_out[row], w_in[row]))
+            chunk[row] = np.linalg.norm(model - target_unit)
+        values[lo:hi] = chunk
     return values
 
 
@@ -442,13 +355,10 @@ def sample_cost_distribution(problem: FitProblem, n: int) -> CostHistogram:
     """Cost values at random model parameters, binned with width 0.1.
 
     Parameters are drawn uniformly from the per-vertex weight simplexes:
-    draw i normalizes each vertex's share of the first n_params
-    exponentials of ``np.random.default_rng([problem.seed, i])``.  The
-    starting states of all n streams are derived in one vectorized pass,
-    without building a generator per draw.  Each draw depends only on the
-    seed and its index, so the first m draws of a run are the draws of an
-    m-draw run.  Raises ``ValueError`` unless 1 <= n < 2**32: the index
-    enters the seed as one 32-bit word.
+    draw i normalizes each vertex's share of row i of one
+    ``np.random.default_rng(problem.seed)`` stream of exponentials, read
+    row-major n_params at a time.  The first m draws of a run are
+    therefore the draws of an m-draw run.
     """
     if n < 1:
         raise ValueError("need at least one sample")

@@ -598,6 +598,27 @@ def test_asymptotic_backend_rejects_numbers_that_are_not_finite(bad):
         two_level_rho11(1.0, bad, PARAMS)
 
 
+@pytest.mark.parametrize(
+    "lam1, lam2, alpha, phase",
+    [(1.0, 2.0, 0.0, 0.0), (0.7, 1.9, 1.0, 0.3), (2.5, 1.2, 0.5 + 0.5j, math.pi),
+     (3.1, 0.4, -0.8 + 0.1j, 1.7)],
+)
+def test_two_level_rho11_from_the_asymptotic_vertex(lam1, lam2, alpha, phase):
+    # f(lambda) = lambda**12 |A(lambda)|: the two branches e^{i osc} and
+    # alpha e^{-i osc} have the modulus |e^{2 i osc} + alpha| of the
+    # interference weight, and the carried phases cancel.
+    p = AsymptoticParams(gamma_immirzi=0.9, regge_action=1.3, alpha=alpha, n_plus_abs=1.7,
+                         phase_offset=phase, chi_plus_m=phase / math.pi)
+
+    def f(lam):
+        return lam**12 * abs(asymptotic_vertex(lam, p))
+
+    for lam in (lam1, lam2):
+        assert f(lam) == pytest.approx(interference_weight(lam, p), rel=1e-13)
+    a, b = lam1**4 * f(lam2), lam2**4 * f(lam1)
+    assert two_level_rho11(lam1, lam2, p) == pytest.approx(a / (a + b), rel=1e-13)
+
+
 def test_two_level_equal_scales_is_half():
     assert two_level_rho11(1.3, 1.3, PARAMS) == 0.5
 

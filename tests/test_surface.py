@@ -23,7 +23,8 @@ KEPT = {
     "dissipator": "test oracle: the D_R rho that dissipator_matrix is checked against",
     "kraus_from_map": THREE_LEVEL,
     "adiabatic_eliminate": THREE_LEVEL,
-    "asymptotic_vertex": "paper: the large-spin vertex behind two_level_rho11",
+    "asymptotic_vertex": "paper: the large-spin vertex that two_level_rho11 is rebuilt from"
+                         " in test_two_level_rho11_from_the_asymptotic_vertex",
     "extract_sub": "paper: the sub-network cut that union glues back",
     "area": "paper: the area spectrum the level energies follow (README: areas)",
     "configure": "SpinCapacityError's message names it as the way to raise the spin limit",
