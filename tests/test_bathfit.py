@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from spinfoam_oqs import bathfit
 from spinfoam_oqs.amplitudes import TransitionMatrix, label_spins, label_str, pr_vertex
 from spinfoam_oqs.bathfit import (
     CostHistogram,
@@ -558,3 +559,64 @@ def test_sampled_costs_are_the_costs_of_their_draws(case):
         assert sampled[0] <= 1e-12
     if kind == "dead":
         assert sampled[0] == reference[0] == 2.0
+
+
+def _recording_stream(blocks):
+    """A ``default_rng`` that appends each block of exponentials it gives."""
+    real = np.random.default_rng
+
+    class Stream:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def standard_exponential(self, size):
+            values = self._rng.standard_exponential(size)
+            blocks.append(values.copy())
+            return values
+
+    return Stream
+
+
+def _random_tables_problem(seed, d, n_params):
+    """A random target and two random vertex tables sharing n_params weights."""
+    rng = np.random.default_rng(seed)
+    k = n_params // 2
+
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    target = TransitionMatrix(tuple(str(i) for i in range(d)), complex_normal(d, d))
+    tables = _FixedTables(complex_normal(d, k), complex_normal(d, n_params - k))
+    return FitProblem(target, tables, seed=seed)
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+@pytest.mark.parametrize("seed, n_params", [(11, 18), (2**64 + 5, 7)])
+def test_draws_are_rows_of_one_stream(seed, n, n_params):
+    # The sampler reads default_rng(seed) once, at most _SAMPLE_CHUNK rows
+    # at a time; its draws are the rows of one (n, n_params) block.
+    problem = _random_tables_problem(seed, 3, n_params)
+    blocks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", _recording_stream(blocks))
+        _sample_costs(problem, n)
+    assert all(0 < len(block) <= _SAMPLE_CHUNK for block in blocks)
+    reference = np.random.default_rng(seed).standard_exponential((n, n_params))
+    assert np.concatenate(blocks).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 511, 513, 1024, 2000])
+def test_chunk_size_never_changes_a_draw(chunk):
+    problem = _random_tables_problem(5, 4, 9)
+    n = 1025
+    reference = _per_draw_costs(problem, n)
+    tolerance = _cost_tolerance(problem, reference)
+    blocks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bathfit, "_SAMPLE_CHUNK", chunk)
+        patch.setattr(np.random, "default_rng", _recording_stream(blocks))
+        sampled = _sample_costs(problem, n)
+    assert [len(block) for block in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+    stream = np.random.default_rng(problem.seed).standard_exponential((n, 9))
+    assert np.concatenate(blocks).tobytes() == stream.tobytes()
+    assert np.all(np.abs(sampled - reference) <= tolerance)
