@@ -12,11 +12,9 @@ from .recoupling import Spin, as_spin, triangle_ok, wigner6j
 from .spin_network import (
     ZERO,
     Link,
-    NetworkTemplate,
     SpinNetwork,
     SubSpinNetwork,
     extract_sub,
-    random_network,
     union,
     validate,
 )

@@ -10,6 +10,7 @@ cross-Gram matrix (Hotelling's canonical correlations).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -33,14 +34,19 @@ def cost(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """v / |v|; entries far from 1 are rescaled first so |v|^2 cannot
-    underflow or overflow."""
+    """v / |v|."""
+    v = _in_range(v)
+    return v / np.linalg.norm(v)
+
+
+def _in_range(v: np.ndarray) -> np.ndarray:
+    """v, divided by its largest |entry| when that lies outside (1e-150,
+    1e150), so that sums of squares of its entries cannot underflow or
+    overflow."""
     scale = np.max(np.abs(v), initial=0.0)
     if scale == 0:
         raise ValueError("cost inputs must have nonzero norm")
-    if not 1e-150 < scale < 1e150:
-        v = v / scale
-    return v / np.linalg.norm(v)
+    return v / scale if not 1e-150 < scale < 1e150 else v
 
 
 @dataclass(frozen=True)
@@ -225,6 +231,14 @@ PARITY_COVERING_BATH: tuple[tuple[str, str, str], ...] = (
 )
 
 
+class RetryBudgetExhausted(RuntimeError):
+    """A random spin triple failed to satisfy the triangle rule within the retry budget."""
+
+
+# Redraws of one attempt's three spins before the attempt gives up.
+_MAX_REDRAWS = 1000
+
+
 def admissible_triple_basis(
     n_labels: int,
     j_min="1/2",
@@ -232,20 +246,20 @@ def admissible_triple_basis(
     seed: int = 0,
     max_attempts: int = 10000,
 ) -> tuple[tuple[Spin, Spin, Spin], ...]:
-    """Distinct admissible spin triples sampled from random node labelings.
+    """Distinct admissible spin triples, each sorted, in the order first drawn.
 
+    Attempt a draws three 2j values uniformly from [2 j_min, 2 j_max] with
+    ``random.Random(seed + a)`` and redraws all three, up to 1000 times,
+    until they satisfy the triangle rule (RetryBudgetExhausted otherwise).
     Each basis element is the boundary of a single trivalent node, the
     reduced state used throughout the fitting pipeline.
     """
-    from .spin_network import NetworkTemplate, random_network
-
+    # Errors name the node and its links 0-2, whose spins form the triple.
     lo, hi = as_spin(j_min), as_spin(j_max)
-    template = NetworkTemplate(
-        nodes=(0,),
-        link_ends=((0, 0, None), (1, 0, None), (2, 0, None)),
-        spin_ranges={i: (lo, hi) for i in range(3)},
-    )
-    labels: list[tuple[Spin, Spin, Spin]] = []
+    if lo.twice_j > hi.twice_j:
+        raise ValueError("empty spin range on link 0")
+    twice_j = range(lo.twice_j, hi.twice_j + 1)
+    labels: list[tuple[int, int, int]] = []
     attempt = 0
     while len(labels) < n_labels:
         if attempt >= max_attempts:
@@ -253,20 +267,29 @@ def admissible_triple_basis(
                 f"only {len(labels)} distinct admissible triples exist in "
                 f"[{lo}, {hi}]; asked for {n_labels}"
             )
-        net = random_network(template, seed=seed + attempt)
+        rng = random.Random(seed + attempt)
         attempt += 1
-        triple = tuple(
-            sorted((l.spin for l in net.links), key=lambda s: s.twice_j)
-        )
+        for _ in range(1 + _MAX_REDRAWS):
+            a, b, c = rng.choice(twice_j), rng.choice(twice_j), rng.choice(twice_j)
+            if (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b:
+                break
+        else:
+            raise RetryBudgetExhausted(
+                f"no admissible labeling found for node 0 within {_MAX_REDRAWS} resamples"
+            )
+        triple = tuple(sorted((a, b, c)))
         if triple not in labels:
             labels.append(triple)
-    return tuple(labels)
+    return tuple(tuple(Spin(t) for t in triple) for triple in labels)
+
+
+# The parity-covering bath as spins, parsed once.
+_STANDARD_BATH = tuple(tuple(as_spin(s) for s in t) for t in PARITY_COVERING_BATH)
 
 
 def standard_model(basis) -> TwoVertexModel:
     """Two-vertex model with the parity-covering bath on both vertices."""
-    bath = tuple(tuple(as_spin(s) for s in t) for t in PARITY_COVERING_BATH)
-    return TwoVertexModel(tuple(basis), bath, bath)
+    return TwoVertexModel(tuple(basis), _STANDARD_BATH, _STANDARD_BATH)
 
 
 def basis_from_network_file(path) -> tuple[tuple[Spin, Spin, Spin], ...]:
@@ -321,11 +344,34 @@ _SAMPLE_CHUNK = 512
 _DIRECT_BELOW = 1e-6
 
 
+def _real_lift(table: np.ndarray) -> np.ndarray:
+    """The real (k, 2d) map of weights theta to [Re w, Im w], w = table theta.
+
+    The table is first brought into range as ``_unit`` does; the cost
+    ignores each vertex's scale.
+    """
+    table = _in_range(table)
+    return np.hstack([table.real.T, table.imag.T])
+
+
 def _sample_costs(problem: FitProblem, n: int) -> np.ndarray:
-    """Cost at each of n seeded draws from the per-vertex weight simplexes."""
+    """Cost at each of n seeded draws from the per-vertex weight simplexes.
+
+    One real (n_params, 4d) lift maps a chunk of draws to the real and
+    imaginary parts of both vertices' weights, and one real (2d, 2d) block
+    maps w_in to conj(T) w_in, so the overlap and both norms are real row
+    dots over the terms of the complex d-term sums; no complex array is
+    made per chunk.
+    """
     table_in, table_out = problem.tables
     target_unit = _unit(problem.target.entries)
-    k = table_in.shape[1]
+    k, d = table_in.shape[1], len(target_unit)
+    lift = np.zeros((problem.model.n_params, 4 * d))
+    lift[:k, : 2 * d], lift[k:, 2 * d :] = _real_lift(table_in), _real_lift(table_out)
+    # [Re w_in, Im w_in] @ conj_target = [Re v, -Im v] with v = conj(T) w_in,
+    # so Re(w_out . v) is the row dot of [Re w_out, Im w_out] with it.
+    re, im = target_unit.real.T, target_unit.imag.T
+    conj_target = np.block([[re, im], [im, -re]])
     rng = np.random.default_rng(problem.seed)
 
     values = np.empty(n)
@@ -335,18 +381,20 @@ def _sample_costs(problem: FitProblem, n: int) -> np.ndarray:
         # uniform point on each weight simplex, and the cost ignores the
         # normalization.
         theta = rng.standard_exponential((hi - lo, problem.model.n_params))
-        w_in = theta[:, :k] @ table_in.T
-        w_out = theta[:, k:] @ table_out.T
+        # Per draw, [[Re w_in, Im w_in], [Re w_out, Im w_out]].
+        weights = (theta @ lift).reshape(hi - lo, 2, 2 * d)
         # The cost is sqrt(2 - 2 rho), rho = Re<T, w_out w_in^T> / norms,
         # without forming the (chunk, d^2) outer products.
-        overlap = np.einsum("ni,ni->n", w_out, w_in @ target_unit.conj().T).real
-        norm = np.linalg.norm(w_out, axis=1) * np.linalg.norm(w_in, axis=1)
+        overlap = np.einsum("ni,ni->n", weights[:, 1], weights[:, 0] @ conj_target)
+        norms = np.sqrt(np.einsum("nvi,nvi->nv", weights, weights))
+        norm = norms[:, 0] * norms[:, 1]
         dead = norm == 0
         rho = overlap / np.where(dead, 1.0, norm)
         chunk = np.where(dead, 2.0, np.sqrt(np.clip(2.0 - 2.0 * rho, 0.0, 4.0)))
         for row in np.flatnonzero(chunk < _DIRECT_BELOW):
-            model = _unit(np.outer(w_out[row], w_in[row]))
-            chunk[row] = np.linalg.norm(model - target_unit)
+            parts = weights[row].reshape(2, 2, d)
+            w_in, w_out = parts[:, 0] + 1j * parts[:, 1]
+            chunk[row] = np.linalg.norm(_unit(np.outer(w_out, w_in)) - target_unit)
         values[lo:hi] = chunk
     return values
 

@@ -9,8 +9,7 @@ index and skip the triangle check.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .recoupling import Spin, triangle_ok
@@ -28,10 +27,6 @@ class DisconnectedSubsetError(ValueError):
 
 class AmbiguousPairingError(ValueError):
     """Dangling ends cannot be paired without provenance or an explicit pairing."""
-
-
-class RetryBudgetExhausted(RuntimeError):
-    """Random labeling failed to reach admissibility within the retry budget."""
 
 
 class _Zero:
@@ -387,79 +382,6 @@ def union(
     if not ok:
         return ZERO
     return glued
-
-
-@dataclass(frozen=True)
-class NetworkTemplate:
-    """Unlabeled topology with a per-link spin range (min, max, step 1/2)."""
-
-    nodes: tuple[int, ...]
-    link_ends: tuple[tuple[int, int | None, int | None], ...]  # (id, src, tgt)
-    spin_ranges: Mapping[int, tuple[Spin, Spin]] = field(default_factory=dict)
-    intertwiners: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for link_id, _, _ in self.link_ends:
-            lo, hi = self.spin_ranges[link_id]
-            if lo.twice_j > hi.twice_j:
-                raise ValueError(f"empty spin range on link {link_id}")
-
-    def choices(self, link_id: int) -> tuple[Spin, ...]:
-        lo, hi = self.spin_ranges[link_id]
-        return Spin.range(lo, hi)
-
-
-MAX_NODE_RETRIES = 1000
-
-
-def random_network(
-    template: NetworkTemplate,
-    seed: int,
-) -> SpinNetwork:
-    """Uniformly sample link spins, resampling per node until admissible.
-
-    Deterministic for a given seed.  Raises RetryBudgetExhausted when the
-    template admits no (or almost no) admissible labeling.
-    """
-    rng = random.Random(seed)
-    labels: dict[int, Spin] = {
-        link_id: rng.choice(template.choices(link_id))
-        for link_id, _, _ in sorted(template.link_ends)
-    }
-
-    incident: dict[int, list[int]] = {n: [] for n in template.nodes}
-    for link_id, src, tgt in template.link_ends:
-        for end in (src, tgt):
-            if end is not None:
-                incident[end].append(link_id)
-
-    def node_ok(node: int) -> bool:
-        ids = incident[node]
-        if len(ids) != 3:
-            return True
-        return triangle_ok(*(labels[i] for i in ids))
-
-    budget = MAX_NODE_RETRIES
-    stable = False
-    while not stable:
-        stable = True
-        for node in sorted(template.nodes):
-            while not node_ok(node):
-                if budget <= 0:
-                    raise RetryBudgetExhausted(
-                        f"no admissible labeling found for node {node} within "
-                        f"{MAX_NODE_RETRIES} resamples"
-                    )
-                budget -= 1
-                stable = False
-                for link_id in sorted(incident[node]):
-                    labels[link_id] = rng.choice(template.choices(link_id))
-
-    links = [
-        Link(link_id, src, tgt, labels[link_id])
-        for link_id, src, tgt in template.link_ends
-    ]
-    return SpinNetwork(template.nodes, links, template.intertwiners)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Cost function and simplified-model fitting tests."""
 
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from spinfoam_oqs.amplitudes import TransitionMatrix, label_spins, label_str, pr
 from spinfoam_oqs.bathfit import (
     CostHistogram,
     FitProblem,
+    RetryBudgetExhausted,
     TwoVertexModel,
     _DIRECT_BELOW,
     _SAMPLE_CHUNK,
@@ -24,7 +28,7 @@ from spinfoam_oqs.bathfit import (
     sample_cost_distribution,
     standard_model,
 )
-from spinfoam_oqs.recoupling import triangle_ok
+from spinfoam_oqs.recoupling import Spin, triangle_ok
 
 
 def test_cost_identical_vectors():
@@ -74,16 +78,66 @@ def test_cost_bounded_and_scale_invariant(a_parts, b_parts, sa, sb):
 
 
 def test_admissible_triple_basis_properties():
-    basis = admissible_triple_basis(10, seed=0)
-    assert len(basis) == 10
-    assert len(set(basis)) == 10
-    for triple in basis:
-        assert triangle_ok(*triple)
+    for seed in range(50):
+        basis = admissible_triple_basis(10, seed=seed)
+        assert len(basis) == 10
+        assert len(set(basis)) == 10
+        for triple in basis:
+            assert triangle_ok(*triple)
+            assert list(triple) == sorted(triple)
+            assert all(Spin(1) <= s <= Spin(5) for s in triple)
+
+
+def test_admissible_triple_basis_deterministic():
+    assert admissible_triple_basis(20, "0", "3", seed=42) == admissible_triple_basis(
+        20, "0", "3", seed=42
+    )
+
+
+def test_admissible_triple_basis_reaches_every_triple_of_a_small_range():
+    every = {
+        triple for triple in itertools.combinations_with_replacement(range(3), 3)
+        if sum(triple) % 2 == 0 and triple[2] <= triple[0] + triple[1]
+    }
+    basis = admissible_triple_basis(len(every), "0", "1", seed=0)
+    assert {tuple(s.twice_j for s in triple) for triple in basis} == every
+    # A range of one spin has one labeling.
+    assert admissible_triple_basis(1, "2", "2", seed=0) == ((Spin(4),) * 3,)
 
 
 def test_admissible_triple_basis_exhaustion_error():
     with pytest.raises(ValueError):
         admissible_triple_basis(50, j_min="1/2", j_max="1", seed=0, max_attempts=500)
+
+
+def test_admissible_triple_basis_budget_exhaustion():
+    # Three spins 1/2 never close a triangle: their sum is not an integer.
+    with pytest.raises(RetryBudgetExhausted, match="within 1000 resamples$"):
+        admissible_triple_basis(1, "1/2", "1/2", seed=0)
+
+
+def _basis_outcome(dim, j_min, j_max, seed, max_attempts):
+    """A basis as its sorted 2j triples, or its exception as 'Type: message'."""
+    try:
+        basis = admissible_triple_basis(dim, j_min, j_max, seed=seed, max_attempts=max_attempts)
+    except (ValueError, RetryBudgetExhausted) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return " ".join(",".join(str(s.twice_j) for s in triple) for triple in basis)
+
+
+def test_admissible_triple_basis_matches_its_record():
+    # fixtures/triple_basis.json maps "dim j_min j_max seed max_attempts" to
+    # the _basis_outcome of the sampler that labeled a one-node spin network
+    # per attempt: dim 1-20, j_min 0, 1/2 and 1, j_max 3/2, 5/2 and 3, and
+    # seeds 0-7 at max_attempts 100, plus edge cases at their own arguments.
+    path = Path(__file__).parent / "fixtures" / "triple_basis.json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    changed = []
+    for key, outcome in record.items():
+        dim, j_min, j_max, seed, max_attempts = key.split()
+        if _basis_outcome(int(dim), j_min, j_max, int(seed), int(max_attempts)) != outcome:
+            changed.append(key)
+    assert not changed, f"{len(changed)} of {len(record)} bases changed, first {changed[:5]}"
 
 
 @pytest.fixture(scope="module")
@@ -477,6 +531,11 @@ def _cost_tolerance(problem, reference):
 @example(_pinned_problem(266, [[0, 0, 0, 1], [0, 0, 0, 0]], [[1, 1, -2, 0], [0, 1, 0, 0]]))
 @example(_pinned_problem(1, [[1]], [[-1j, 1j, 0, 1 + 1j]]))
 @example(_pinned_problem(0, [[-1, -1, 0, 0]], [[-1 - 1j, -1 - 1j, -2 + 2j, 2 + 2j]]))
+# Nearly parallel columns, whose weighted sums cancel: norms and overlap
+# taken as quadratic forms in theta of the tables' k x k Gram and cross
+# matrices miss this bound by 15x and 55x here; the row sums of w do not.
+@example(_pinned_problem(29, [[-1, 1.001]], [[2]]))
+@example(_pinned_problem(314, [[3, -2.999]], [[1 + 1j]]))
 @given(_table_problem())
 @settings(max_examples=8, deadline=None)
 def test_batched_sampling_matches_per_draw_loop(problem):
@@ -516,8 +575,8 @@ def _stream_zeroing(positions):
 def _draw_0_problem(draw):
     """A table problem whose target is tied to draw 0 of its stream.
 
-    ``exact``: the model at draw 0, computed as the sampler's first chunk
-    computes it; ``near``: that model moved by 10**-e of its norm;
+    ``exact``: the model at draw 0, computed from the stream's first chunk
+    of draws; ``near``: that model moved by 10**-e of its norm;
     ``opposite``: its negative; ``random``: a random target; ``dead``: a random target, with draw 0's
     in- or out-vertex weights zeroed in the stream.
     """
@@ -620,3 +679,19 @@ def test_chunk_size_never_changes_a_draw(chunk):
     stream = np.random.default_rng(problem.seed).standard_exponential((n, 9))
     assert np.concatenate(blocks).tobytes() == stream.tobytes()
     assert np.all(np.abs(sampled - reference) <= tolerance)
+
+
+@pytest.mark.parametrize(
+    "scale_in, scale_out", [(1e-160, 1.0), (1e-170, 1.0), (1.0, 1e160), (1e160, 1e160)]
+)
+def test_sampled_costs_ignore_each_vertex_tables_scale(scale_in, scale_out):
+    # Unscaled, |w|^2 of tables this small underflows and of tables this
+    # large overflows; the cost itself ignores each vertex's scale.
+    problem = _random_tables_problem(5, 4, 9)
+    reference = _per_draw_costs(problem, 600)
+    table_in, table_out = problem.tables
+    scaled = FitProblem(
+        problem.target, _FixedTables(scale_in * table_in, scale_out * table_out), seed=problem.seed
+    )
+    error = np.abs(_sample_costs(scaled, 600) - reference)
+    assert np.all(error <= _cost_tolerance(problem, reference))

@@ -1,6 +1,7 @@
-"""Graph model tests: validation, cuts, gluing, random generation."""
+"""Graph model tests: validation, cuts, gluing, the textual reader."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,13 +11,10 @@ from spinfoam_oqs.spin_network import (
     AmbiguousPairingError,
     DisconnectedSubsetError,
     Link,
-    NetworkTemplate,
-    RetryBudgetExhausted,
     SpinNetwork,
     SubSpinNetwork,
     extract_sub,
     parse_network,
-    random_network,
     union,
     validate,
 )
@@ -179,72 +177,6 @@ def test_zero_is_falsy_value_not_exception():
     assert repr(ZERO) == "ZERO"
 
 
-def _theta_template(lo="1/2", hi=2):
-    return NetworkTemplate(
-        nodes=(0, 1),
-        link_ends=((0, 0, 1), (1, 0, 1), (2, 0, 1)),
-        spin_ranges={i: (as_spin(lo), as_spin(hi)) for i in range(3)},
-    )
-
-
-def test_random_network_deterministic():
-    tmpl = _theta_template()
-    assert random_network(tmpl, seed=42) == random_network(tmpl, seed=42)
-
-
-def test_random_network_single_labeling_range():
-    tmpl = NetworkTemplate(
-        nodes=(0, 1),
-        link_ends=((0, 0, 1), (1, 0, 1), (2, 0, 1)),
-        spin_ranges={i: (Spin(2), Spin(2)) for i in range(3)},
-    )
-    net = random_network(tmpl, seed=0)
-    assert all(l.spin == Spin(2) for l in net.links)
-
-
-def test_random_network_samples_always_admissible():
-    tmpl = _theta_template()
-    for seed in range(200):
-        ok, diag = validate(random_network(tmpl, seed=seed))
-        assert ok, diag
-
-
-def test_random_network_covers_all_labelings_of_small_template():
-    tmpl = NetworkTemplate(
-        nodes=(0, 1),
-        link_ends=((0, 0, 1), (1, 0, 1), (2, 0, 1)),
-        spin_ranges={i: (Spin(0), Spin(2)) for i in range(3)},
-    )
-    admissible = set()
-    for t0 in range(3):
-        for t1 in range(3):
-            for t2 in range(3):
-                if (t0 + t1 + t2) % 2 == 0 and abs(t0 - t1) <= t2 <= t0 + t1:
-                    admissible.add((t0, t1, t2))
-    seen = set()
-    for seed in range(10000):
-        net = random_network(tmpl, seed=seed)
-        seen.add(tuple(net.link(i).spin.twice_j for i in range(3)))
-        if seen == admissible:
-            break
-    assert seen == admissible
-
-
-def test_random_network_budget_exhaustion():
-    # ranges admit no triangle: (0, 0, 2) can never close
-    tmpl = NetworkTemplate(
-        nodes=(0, 1),
-        link_ends=((0, 0, 1), (1, 0, 1), (2, 0, 1)),
-        spin_ranges={
-            0: (Spin(0), Spin(0)),
-            1: (Spin(0), Spin(0)),
-            2: (Spin(4), Spin(4)),
-        },
-    )
-    with pytest.raises(RetryBudgetExhausted):
-        random_network(tmpl, seed=0)
-
-
 def test_parse_network_reads_links_and_dangling_ends():
     text = "node 0\nnode 1 0\nlink 0 0 1 1\nlink 1 0 1 2\nlink 2 0 1 3\n"
     assert parse_network(text) == SpinNetwork(
@@ -265,21 +197,24 @@ def test_parse_rejects_malformed_records():
         parse_network("edge 0 1 2 3\n")
 
 
+def _random_admissible_network(seed):
+    """The complete graph on four nodes, its six link spins drawn from
+    1/2..2 until every node satisfies the triangle rule."""
+    rng = random.Random(seed)
+    ends = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
+    while True:
+        links = [Link(i, a, b, Spin(rng.randint(1, 4))) for i, (a, b) in enumerate(ends)]
+        net = SpinNetwork(range(4), links)
+        if validate(net)[0]:
+            return net
+
+
 def test_union_zero_only_for_mismatch_or_inadmissibility():
     # random cuts of random valid graphs always glue back; tampering with
     # exactly one boundary spin always yields ZERO
-    import random as _random
-
-    rng = _random.Random(31)
-    tmpl = NetworkTemplate(
-        nodes=(0, 1, 2, 3),
-        link_ends=(
-            (0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0), (4, 0, 2), (5, 1, 3),
-        ),
-        spin_ranges={i: (as_spin("1/2"), as_spin(2)) for i in range(6)},
-    )
+    rng = random.Random(31)
     for seed in range(40):
-        net = random_network(tmpl, seed=seed)
+        net = _random_admissible_network(seed)
         subset = rng.choice(([0], [0, 1], [0, 1, 2], [1, 3], [2]))
         try:
             part, complement = extract_sub(net, subset)
