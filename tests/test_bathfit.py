@@ -533,7 +533,7 @@ def _cost_tolerance(problem, reference):
 @example(_pinned_problem(0, [[-1, -1, 0, 0]], [[-1 - 1j, -1 - 1j, -2 + 2j, 2 + 2j]]))
 # Nearly parallel columns, whose weighted sums cancel: norms and overlap
 # taken as quadratic forms in theta of the tables' k x k Gram and cross
-# matrices miss this bound by 15x and 55x here; the row sums of w do not.
+# matrices lose that cancellation to round-off; the row sums of w keep it.
 @example(_pinned_problem(29, [[-1, 1.001]], [[2]]))
 @example(_pinned_problem(314, [[3, -2.999]], [[1 + 1j]]))
 @given(_table_problem())
