@@ -330,13 +330,22 @@ class TiedGaussianBath:
 # 3D transition amplitude
 # ---------------------------------------------------------------------------
 
-# Label-free vertex tensors (no open label axis) repeat across foams and
-# runs; they are kept in an LRU bounded by their summed entry count.
-# Tensors with a label axis follow the basis and are never cached.
-_TENSOR_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
+# Every vertex tensor is gathered from one "cube" per 2j bound J: the
+# signed amplitude at each entry of six 2j values from 0 to J.  Entries
+# that fail a triad are zero from the start; the others are unfilled
+# until a gather first meets them.  A bound whose cube would exceed the
+# cache builds each tensor afresh.  The cache is an LRU bounded by its
+# summed entry count; besides the cubes (keyed by J) it holds label-free
+# tensors (no open label axis, keyed by grids and pattern), which repeat
+# across foams and runs.
+_TENSOR_CACHE: OrderedDict[int | tuple, np.ndarray] = OrderedDict()
 _TENSOR_CACHE_MAX_ENTRIES = 1 << 20
 _tensor_cache_entries = 0
 _cache_lock = threading.Lock()
+
+# NaN in both parts, so that an entry another thread has half written
+# still reads as unfilled; fills write values that do not depend on order.
+_UNFILLED = complex(math.nan, math.nan)
 
 # Slot triples of a vertex tensor that must satisfy the triangle rule.
 _VERTEX_TRIADS = ((0, 1, 2), (3, 4, 2), (0, 4, 5), (3, 1, 5))
@@ -346,6 +355,11 @@ _VERTEX_TRIADS = ((0, 1, 2), (3, 4, 2), (0, 4, 5), (3, 1, 5))
 # that label index stay zero, as the empty delta support of the spin does
 # on the per-entry path.
 _OFF_GRID = -1
+
+
+def _triangle(ta, tb, tc) -> np.ndarray:
+    """Where the broadcast 2j values satisfy the triangle rule."""
+    return ((ta + tb + tc) % 2 == 0) & (np.abs(ta - tb) <= tc) & (tc <= ta + tb)
 
 
 def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> np.ndarray:
@@ -369,8 +383,7 @@ def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> 
         face.append(np.array(tjs[k], dtype=np.int64).reshape(shape))
     ok = np.ones(dims, dtype=bool)
     for a, b, c in _VERTEX_TRIADS:
-        ta, tb, tc = face[a], face[b], face[c]
-        ok &= ((ta + tb + tc) % 2 == 0) & (np.abs(ta - tb) <= tc) & (tc <= ta + tb)
+        ok &= _triangle(face[a], face[b], face[c])
     index = np.nonzero(ok)
     rows = np.stack([face[k].ravel()[index[axis]] for k, axis in enumerate(pattern)], axis=1)
     T = np.zeros(dims, dtype=complex)
@@ -379,24 +392,121 @@ def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> 
     return T
 
 
-def _cached_vertex_tensor(tjs, pattern) -> np.ndarray:
+def _remember(key, T: np.ndarray) -> None:
+    """Put ``T`` in the cache under ``key`` and evict the least recently
+    used beyond the bound; the caller holds ``_cache_lock``."""
     global _tensor_cache_entries
+    if key not in _TENSOR_CACHE:
+        _TENSOR_CACHE[key] = T
+        _tensor_cache_entries += T.size
+    while _tensor_cache_entries > _TENSOR_CACHE_MAX_ENTRIES:
+        _, old = _TENSOR_CACHE.popitem(last=False)
+        _tensor_cache_entries -= old.size
+
+
+def _admissible_entries(n: int) -> np.ndarray:
+    """Flat indices of the admissible entries of an (n,)*6 cube over slots
+    (a, b, c, d, e, f): each (a, b, c, d, e) that closes triads abc and
+    dec, times each f that closes aef and dbf.  Touches no cube entry."""
+    a, b, c = np.ix_(*(np.arange(n),) * 3)
+    closed = _triangle(a, b, c)  # symmetric in its three spins
+    front = np.flatnonzero(closed[:, :, :, None, None] & closed)
+    a, b, d, e = front // n**4, front // n**3 % n, front // n % n, front % n
+    pairs = closed.reshape(n * n, n)
+    back = np.flatnonzero(pairs[a * n + e] & pairs[d * n + b])
+    return front[back // n] * n + back % n
+
+
+def _cube(top: int) -> np.ndarray | None:
+    """The cube of 2j bound ``top``, made on first use; None when its
+    (top + 1)^6 entries exceed the cache bound.  It stays writable until
+    a gather has filled all of it."""
+    if (top + 1) ** 6 > _TENSOR_CACHE_MAX_ENTRIES:
+        return None
+    with _cache_lock:
+        cube = _TENSOR_CACHE.get(top)
+        if cube is None:
+            n = top + 1
+            cube = np.zeros(n**6, dtype=complex)
+            cube[_admissible_entries(n)] = _UNFILLED
+            cube = cube.reshape((n,) * 6)
+            _remember(top, cube)
+        else:
+            _TENSOR_CACHE.move_to_end(top)
+    return cube
+
+
+def _gathered_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...], top: int) -> np.ndarray:
+    """``_vertex_tensor(tjs, pattern)`` gathered from the cube of 2j bound
+    ``top``, which every value in ``tjs`` but ``_OFF_GRID`` lies under.
+
+    A slot alone on its axis over a run of consecutive 2j values is a
+    slice; every other axis is one gather over its slots.  Entries at an
+    off-grid label are zeroed, and only the unfilled entries left get
+    their amplitudes, which are written back to the cube.  The result is
+    a new C-ordered array, like ``_vertex_tensor``'s, so contractions over
+    it sum in the same order; over the whole cube it is the cube itself,
+    filled and read-only.
+    """
+    cube = _cube(top)
+    if cube is None:
+        return _vertex_tensor(tjs, pattern)
+    filled = not cube.flags.writeable  # read before gathering: a filled cube stays so
+    slots = [[k for k, a in enumerate(pattern) if a == axis] for axis in range(max(pattern) + 1)]
+    cut, gathers = [slice(None)] * 6, []
+    for axis, ks in enumerate(slots):
+        grid = tuple(tjs[ks[0]])
+        if len(ks) == 1 and grid and grid[0] >= 0 and grid == tuple(range(grid[0], grid[0] + len(grid))):
+            cut[ks[0]] = slice(grid[0], grid[0] + len(grid))
+        else:
+            gathers.append(axis)
+    X, held = cube[tuple(cut)], list(pattern)  # held: the tensor axis of each dim of X
+    for axis in gathers:
+        at = [i for i, a in enumerate(held) if a == axis]
+        rest = [i for i in range(X.ndim) if i not in at]
+        X = X.transpose(at + rest)[tuple(np.array(tjs[k], dtype=np.intp) for k in slots[axis])]
+        held = [axis] + [held[i] for i in rest]
+    whole = X.size == cube.size and not gathers
+    if whole:
+        T = cube
+    elif gathers:
+        T = np.ascontiguousarray(X.transpose(np.argsort(held)))
+    else:
+        T = X.copy()
+    for axis in gathers:
+        if any(_OFF_GRID in tjs[k] for k in slots[axis]):
+            off = np.logical_or.reduce([np.array(tjs[k]) == _OFF_GRID for k in slots[axis]])
+            T[(slice(None),) * axis + (off,)] = 0
+    if not filled:
+        unfilled = np.isnan(T)
+        if unfilled.any():
+            index = np.nonzero(unfilled)
+            rows = np.stack([np.array(tjs[k])[index[axis]] for k, axis in enumerate(pattern)], axis=1)
+            values = vertex_amplitudes(rows)
+            with _cache_lock:
+                if cube.flags.writeable:
+                    cube[tuple(rows.T)] = values
+            if not whole:
+                T[index] = values
+        if whole:
+            with _cache_lock:
+                cube.flags.writeable = False
+    T.flags.writeable = False
+    return T
+
+
+def _cached_vertex_tensor(tjs, pattern, top: int) -> np.ndarray:
+    """``_gathered_tensor`` of a label-free vertex, kept in the cache."""
     key = (tuple(tjs), pattern)
     with _cache_lock:
         T = _TENSOR_CACHE.get(key)
         if T is not None:
             _TENSOR_CACHE.move_to_end(key)
             return T
-    T = _vertex_tensor(tjs, pattern)
-    if T.size > _TENSOR_CACHE_MAX_ENTRIES:
-        return T
+    T = _gathered_tensor(tjs, pattern, top)
     with _cache_lock:
-        if key not in _TENSOR_CACHE:
-            _TENSOR_CACHE[key] = T
-            _tensor_cache_entries += T.size
-        while _tensor_cache_entries > _TENSOR_CACHE_MAX_ENTRIES:
-            _, old = _TENSOR_CACHE.popitem(last=False)
-            _tensor_cache_entries -= old.size
+        if T.size <= _TENSOR_CACHE_MAX_ENTRIES and T is not _TENSOR_CACHE.get(top):
+            _remember(key, T)
     return T
 
 
@@ -488,11 +598,8 @@ def _contract_foam(
                 key = (tjs, pattern)
                 T = built.get(key)
                 if T is None:
-                    if any(f in pinned for f in faces):
-                        T = _vertex_tensor(tjs, pattern)
-                    else:
-                        T = _cached_vertex_tensor(tjs, pattern)
-                    built[key] = T
+                    build = _gathered_tensor if any(f in pinned for f in faces) else _cached_vertex_tensor
+                    T = built[key] = build(tjs, pattern, j_max.twice_j)
                 args.extend((T, distinct))
             for vec, axes in weights:
                 args.extend((vec, axes))

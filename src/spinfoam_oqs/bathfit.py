@@ -10,6 +10,7 @@ cross-Gram matrix (Hotelling's canonical correlations).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -254,18 +255,20 @@ def admissible_triple_basis(
     Each basis element is the boundary of a single trivalent node, the
     reduced state used throughout the fitting pipeline.
     """
-    # Errors name the node and its links 0-2, whose spins form the triple.
     lo, hi = as_spin(j_min), as_spin(j_max)
     if lo.twice_j > hi.twice_j:
-        raise ValueError("empty spin range on link 0")
+        raise ValueError(f"empty spin range [{lo}, {hi}]")
     twice_j = range(lo.twice_j, hi.twice_j + 1)
     labels: list[tuple[int, int, int]] = []
     attempt = 0
     while len(labels) < n_labels:
         if attempt >= max_attempts:
+            # Sorted a <= b <= c close a triangle when c <= a + b and the sum is even.
+            held = sum(1 for a, b, c in itertools.combinations_with_replacement(twice_j, 3)
+                       if (a + b + c) % 2 == 0 and c <= a + b)
             raise ValueError(
-                f"only {len(labels)} distinct admissible triples exist in "
-                f"[{lo}, {hi}]; asked for {n_labels}"
+                f"found {len(labels)} distinct admissible triples in {attempt} attempts; "
+                f"[{lo}, {hi}] holds {held}; asked for {n_labels}"
             )
         rng = random.Random(seed + attempt)
         attempt += 1
@@ -273,7 +276,7 @@ def admissible_triple_basis(
             a, b, c = rng.choice(twice_j), rng.choice(twice_j), rng.choice(twice_j)
             if (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b:
                 break
-        else:
+        else:  # the triple labels the links of one trivalent node, node 0
             raise RetryBudgetExhausted(
                 f"no admissible labeling found for node 0 within {_MAX_REDRAWS} resamples"
             )

@@ -1,8 +1,12 @@
 """Amplitude backend tests: foam contraction, analytic vertex, kappa."""
 
+import contextlib
 import math
 import sys
 import threading
+from collections import OrderedDict
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,8 +40,9 @@ from spinfoam_oqs.amplitudes import (
     transition_matrix,
     two_level_rho11,
 )
-from spinfoam_oqs import amplitudes
+from spinfoam_oqs import amplitudes, recoupling
 from spinfoam_oqs.recoupling import Spin, as_spin, wigner6j
+from spinfoam_oqs.scenario import ScenarioConfig
 
 
 # --- vertex amplitude -------------------------------------------------------
@@ -285,6 +290,86 @@ def test_batched_vertex_tensor_is_bit_identical_to_scalar_fill(case):
     assert batched.tobytes() == scalar.tobytes()  # signed zeros included
 
 
+def fresh_tensor_cache(max_entries=amplitudes._TENSOR_CACHE_MAX_ENTRIES):
+    """An empty tensor cache bounded by ``max_entries``, for one ``with`` block."""
+    stack = contextlib.ExitStack()
+    for name, value in (("_TENSOR_CACHE", OrderedDict()), ("_tensor_cache_entries", 0),
+                        ("_TENSOR_CACHE_MAX_ENTRIES", max_entries)):
+        stack.enter_context(mock.patch.object(amplitudes, name, value))
+    return stack
+
+
+@st.composite
+def cube_gather_cases(draw):
+    # A 2j bound and a few vertex tensors under it, gathered in the drawn
+    # order from one cube.  Slots sharing an axis each take their own
+    # values along it, as the slots of a label do; a slot alone on its
+    # axis takes the full grid, a run of 2j values (a slice of the cube)
+    # or any values, off-grid -1 included.
+    top = draw(st.integers(0, 9))
+    spin = st.integers(-1, top)
+    full = tuple(range(top + 1))
+    cases = []
+    for _ in range(draw(st.integers(1, 4))):
+        pattern = [0]
+        for _ in range(5):
+            pattern.append(draw(st.integers(0, max(pattern) + 1)))
+        size = [draw(st.integers(1, 4)) for _ in range(max(pattern) + 1)]
+        tjs = []
+        for axis in pattern:
+            kind = "shared" if pattern.count(axis) > 1 else draw(st.sampled_from(("full", "run", "any")))
+            if kind == "shared":
+                grid = draw(st.lists(spin, min_size=size[axis], max_size=size[axis]))
+            elif kind == "full" and top <= 5:
+                grid = full
+            elif kind == "run":
+                lo = draw(st.integers(0, top))
+                grid = range(lo, draw(st.integers(lo, top)) + 1)
+            else:
+                grid = draw(st.lists(spin, min_size=1, max_size=4, unique=True))
+            tjs.append(tuple(grid))
+        cases.append((tuple(tjs), tuple(pattern)))
+    if top <= 5 and draw(st.booleans()):  # the whole cube, which completes it
+        cases.insert(draw(st.integers(0, len(cases))), ((full,) * 6, (0, 1, 2, 3, 4, 5)))
+    return top, cases
+
+
+@given(cube_gather_cases())
+@settings(max_examples=120, deadline=None)
+def test_gathered_tensors_are_the_vertex_tensors_in_any_fill_order(case):
+    top, cases = case
+    for bound in (amplitudes._TENSOR_CACHE_MAX_ENTRIES, (top + 1) ** 6 - 1):
+        with fresh_tensor_cache(bound):
+            for tjs, pattern in cases:
+                gathered = amplitudes._gathered_tensor(tjs, pattern, top)
+                built = amplitudes._vertex_tensor(tjs, pattern)
+                assert gathered.shape == built.shape
+                assert gathered.tobytes() == built.tobytes()  # signed zeros included
+                assert not gathered.flags.writeable
+            assert (amplitudes._cube(top) is None) == (bound < (top + 1) ** 6)
+
+
+def test_one_W_computes_only_the_symbols_its_tensors_touch():
+    # 64 and 138 are the 6j cache entries one W left from cleared caches
+    # when each vertex tensor was built by _vertex_tensor alone, which
+    # computes the admissible entries of that tensor and nothing else.
+    # Every symbol of 2j <= 4 is 65 entries and of 2j <= 8 is 882.
+    cascade = ScenarioConfig.from_file(Path(__file__).parent.parent / "scenarios" / "cascade_pr3d.json")
+    bridged = FoamProvider(
+        bridged_pair_foam((Spin(0), Spin(8))), (0, 1, 2), (3, 4, 5),
+        bath=BoundaryState.gaussian({6: 0.6, 7: 0.8, 8: 1.0, 9: 1.2}), j_max=4,
+    )
+    for provider, labels, entries in ((cascade.provider, cascade.labels, 64),
+                                      (bridged, ["0", "1", "2", "3", "4"], 138)):
+        counts = []
+        for bound in (amplitudes._TENSOR_CACHE_MAX_ENTRIES, 0):  # cube, then _vertex_tensor
+            recoupling.clear_cache()
+            with fresh_tensor_cache(bound):
+                transition_matrix(provider, labels)
+            counts.append(recoupling.cache_info()["entries"])
+        assert counts == [entries, entries]
+
+
 # (foam, in links, out links); every other boundary link is a bath link.
 FUSED_FOAMS = {
     "single_vertex": (lambda r: single_vertex_foam(), (0, 1, 2), (3, 4, 5)),
@@ -433,39 +518,53 @@ def test_fused_W_missing_bath_links_names_faces():
 
 
 def test_concurrent_fills_keep_the_tensor_cache_consistent():
-    # Internal ranges starting at 1/2 give label-free middle tensors that
-    # no other test builds, so the threads insert them concurrently.
+    # From an empty cache the threads insert the chains' label-free middle
+    # tensors concurrently, and the j_max = 4 providers fill one 2j <= 8
+    # cube on first touch: the chain3 middle is that whole cube, which
+    # its gather completes while the other foams fill parts of it.
     providers = [
         FoamProvider(
             chain_foam(3, internal_range=(Spin(1), Spin(top))),
             (0, 1, 2), (3, 4, 5), bath=None, j_max="5/2",
         )
         for top in (3, 4, 5)
+    ] + [
+        FoamProvider(chain_foam(3, (Spin(0), Spin(4))), (0, 1, 2), (3, 4, 5), bath=None, j_max=4),
+        FoamProvider(bridged_pair_foam((Spin(0), Spin(4))), (0, 1, 2), (3, 4, 5),
+                     bath=BoundaryState.gaussian({6: 0.7, 7: 0.9, 8: 1.1, 9: 1.3}), j_max=4),
+        FoamProvider(cascade_pair_foam((Spin(0), Spin(4))), (0,), (3,),
+                     bath=BoundaryState.gaussian({l: 0.3 for l in (1, 2, 4, 5, 6, 7, 8, 9)}), j_max=4),
+        FoamProvider(disconnected_pair_foam(), (0,), (6,),
+                     bath=TiedGaussianBath((1, 2, 3, 4, 5), (7, 8, 9, 10, 11)), j_max=4),
     ]
-    labels = ["0", "1"]
+    labels = ["1", "2", "3"]  # spin 3 is off the grid of j_max = 5/2
     results = []
 
-    def worker():
-        for i in [0, 1, 2] * 3:
+    def worker(offset):
+        order = list(range(len(providers)))
+        for i in (order[offset:] + order[:offset]) * 2:
             results.append((i, transition_matrix(providers[i], labels).entries))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+        with fresh_tensor_cache():
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            with amplitudes._cache_lock:
+                cached = sum(T.size for T in amplitudes._TENSOR_CACHE.values())
+                assert amplitudes._tensor_cache_entries == cached
+                assert 8 in amplitudes._TENSOR_CACHE
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(results) == 6 * 9
-    serial = [transition_matrix(p, labels).entries for p in providers]
+    assert len(results) == 6 * 2 * len(providers)
+    with fresh_tensor_cache(0):  # every tensor built on its own, nothing cached
+        serial = [transition_matrix(p, labels).entries for p in providers]
     assert all(np.array_equal(W, serial[i]) for i, W in results)
-    with amplitudes._cache_lock:
-        cached = sum(T.size for T in amplitudes._TENSOR_CACHE.values())
-        assert amplitudes._tensor_cache_entries == cached
 
 
 # --- kappa -------------------------------------------------------------------

@@ -108,6 +108,13 @@ def test_admissible_triple_basis_reaches_every_triple_of_a_small_range():
 def test_admissible_triple_basis_exhaustion_error():
     with pytest.raises(ValueError):
         admissible_triple_basis(50, j_min="1/2", j_max="1", seed=0, max_attempts=500)
+    # The attempts ran out before the range did: 2j 2..6 holds 18 sorted triples.
+    with pytest.raises(ValueError, match=(
+        r"^found 16 distinct admissible triples in 100 attempts; \[1, 3\] holds 18; asked for 20$"
+    )):
+        admissible_triple_basis(20, "1", "3", seed=6, max_attempts=100)
+    with pytest.raises(ValueError, match=r"^empty spin range \[1, 1/2\]$"):
+        admissible_triple_basis(2, "1", "1/2")
 
 
 def test_admissible_triple_basis_budget_exhaustion():
@@ -130,6 +137,8 @@ def test_admissible_triple_basis_matches_its_record():
     # the _basis_outcome of the sampler that labeled a one-node spin network
     # per attempt: dim 1-20, j_min 0, 1/2 and 1, j_max 3/2, 5/2 and 3, and
     # seeds 0-7 at max_attempts 100, plus edge cases at their own arguments.
+    # Error messages were re-recorded once, when the exhaustion message began
+    # to count attempts and the range's triples; no basis changed then.
     path = Path(__file__).parent / "fixtures" / "triple_basis.json"
     record = json.loads(path.read_text(encoding="utf-8"))
     changed = []
