@@ -17,13 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .recoupling import Spin, as_spin, wigner6j, wigner6j_batch
+from .recoupling import _TRIADS, Spin, as_spin, wigner6j, wigner6j_batch
 
 GAUSSIAN_TAIL_CUT = 1e-8
 KAPPA_NORMALIZATION_TOL = 1e-12  # how far a kappa column (over_n) or row (over_m) sums from 1
@@ -96,10 +95,6 @@ class Foam2Complex:
         for f in self.internal_faces:
             if f not in used:
                 raise ValueError(f"internal face {f} touches no vertex")
-
-    @property
-    def boundary_links(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.boundary_faces.values())))
 
 
 def single_vertex_foam() -> Foam2Complex:
@@ -219,14 +214,15 @@ class LinkWeight:
         else:
             raise ValueError(f"unknown link weight kind {self.kind!r}")
 
-    def vector(self, grid: Sequence[Spin]) -> np.ndarray:
+    def vector(self, top: int) -> np.ndarray:
+        """Weights of the 2j values 0..``top``."""
         if self.kind == "delta":
             return np.array(
-                [1.0 if s == self.center else 0.0 for s in grid], dtype=complex
+                [1.0 if t == self.center.twice_j else 0.0 for t in range(top + 1)], dtype=complex
             )
         j0 = float(self.center)
         w = np.array(
-            [math.exp(-((float(s) - j0) ** 2) / math.sqrt(j0)) for s in grid],
+            [math.exp(-((t / 2 - j0) ** 2) / math.sqrt(j0)) for t in range(top + 1)],
             dtype=float,
         )
         w[w < GAUSSIAN_TAIL_CUT * w.max()] = 0.0
@@ -308,8 +304,8 @@ class TiedGaussianBath:
     def links(self) -> frozenset[int]:
         return frozenset(self.in_links + self.out_links)
 
-    def tables(self, labels, grid: Sequence[Spin]) -> dict[int, tuple[int, np.ndarray]]:
-        """Per link: (open axis, weight table with one row per label over grid).
+    def tables(self, labels, top: int) -> dict[int, tuple[int, np.ndarray]]:
+        """Per link: (open axis, weight table with one row per label over 2j = 0..``top``).
 
         In-links take the column axis 1 and out-links the row axis 0.
         """
@@ -319,8 +315,8 @@ class TiedGaussianBath:
                 raise ValueError(
                     f"a tied gaussian bath needs single-spin labels, got {label_str(label)}"
                 )
-            rows.append(LinkWeight("gaussian", as_spin(label)).vector(grid))
-        table = np.array(rows).reshape(len(labels), len(grid))
+            rows.append(LinkWeight("gaussian", as_spin(label)).vector(top))
+        table = np.array(rows).reshape(len(labels), top + 1)
         out = {l: (1, table) for l in self.in_links}
         out.update({l: (0, table) for l in self.out_links})
         return out
@@ -333,22 +329,17 @@ class TiedGaussianBath:
 # Every vertex tensor is gathered from one "cube" per 2j bound J: the
 # signed amplitude at each entry of six 2j values from 0 to J.  Entries
 # that fail a triad are zero from the start; the others are unfilled
-# until a gather first meets them.  A bound whose cube would exceed the
-# cache builds each tensor afresh.  The cache is an LRU bounded by its
-# summed entry count; besides the cubes (keyed by J) it holds label-free
-# tensors (no open label axis, keyed by grids and pattern), which repeat
-# across foams and runs.
-_TENSOR_CACHE: OrderedDict[int | tuple, np.ndarray] = OrderedDict()
+# until a gather first meets them.  The cubes, keyed by J, are the only
+# tensor cache.  Their summed entries stay within the bound below: a J
+# whose cube alone exceeds it builds each tensor afresh, and a new cube
+# that would take the sum past it clears the others first.
+_CUBES: dict[int, np.ndarray] = {}
 _TENSOR_CACHE_MAX_ENTRIES = 1 << 20
-_tensor_cache_entries = 0
 _cache_lock = threading.Lock()
 
 # NaN in both parts, so that an entry another thread has half written
 # still reads as unfilled; fills write values that do not depend on order.
 _UNFILLED = complex(math.nan, math.nan)
-
-# Slot triples of a vertex tensor that must satisfy the triangle rule.
-_VERTEX_TRIADS = ((0, 1, 2), (3, 4, 2), (0, 4, 5), (3, 1, 5))
 
 # Stands in for a label spin above j_max.  Every face lies in two triads
 # and -1 fails the triangle rule in any position, so tensor entries at
@@ -382,7 +373,7 @@ def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> 
         shape[axis] = -1
         face.append(np.array(tjs[k], dtype=np.int64).reshape(shape))
     ok = np.ones(dims, dtype=bool)
-    for a, b, c in _VERTEX_TRIADS:
+    for a, b, c in _TRIADS:
         ok &= _triangle(face[a], face[b], face[c])
     index = np.nonzero(ok)
     rows = np.stack([face[k].ravel()[index[axis]] for k, axis in enumerate(pattern)], axis=1)
@@ -390,18 +381,6 @@ def _vertex_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...]) -> 
     T[index] = vertex_amplitudes(rows)
     T.flags.writeable = False
     return T
-
-
-def _remember(key, T: np.ndarray) -> None:
-    """Put ``T`` in the cache under ``key`` and evict the least recently
-    used beyond the bound; the caller holds ``_cache_lock``."""
-    global _tensor_cache_entries
-    if key not in _TENSOR_CACHE:
-        _TENSOR_CACHE[key] = T
-        _tensor_cache_entries += T.size
-    while _tensor_cache_entries > _TENSOR_CACHE_MAX_ENTRIES:
-        _, old = _TENSOR_CACHE.popitem(last=False)
-        _tensor_cache_entries -= old.size
 
 
 def _admissible_entries(n: int) -> np.ndarray:
@@ -421,18 +400,17 @@ def _cube(top: int) -> np.ndarray | None:
     """The cube of 2j bound ``top``, made on first use; None when its
     (top + 1)^6 entries exceed the cache bound.  It stays writable until
     a gather has filled all of it."""
-    if (top + 1) ** 6 > _TENSOR_CACHE_MAX_ENTRIES:
+    n = top + 1
+    if n**6 > _TENSOR_CACHE_MAX_ENTRIES:
         return None
     with _cache_lock:
-        cube = _TENSOR_CACHE.get(top)
+        cube = _CUBES.get(top)
         if cube is None:
-            n = top + 1
+            if sum(c.size for c in _CUBES.values()) + n**6 > _TENSOR_CACHE_MAX_ENTRIES:
+                _CUBES.clear()
             cube = np.zeros(n**6, dtype=complex)
             cube[_admissible_entries(n)] = _UNFILLED
-            cube = cube.reshape((n,) * 6)
-            _remember(top, cube)
-        else:
-            _TENSOR_CACHE.move_to_end(top)
+            cube = _CUBES[top] = cube.reshape((n,) * 6)
     return cube
 
 
@@ -495,46 +473,23 @@ def _gathered_tensor(tjs: Sequence[tuple[int, ...]], pattern: tuple[int, ...], t
     return T
 
 
-def _cached_vertex_tensor(tjs, pattern, top: int) -> np.ndarray:
-    """``_gathered_tensor`` of a label-free vertex, kept in the cache."""
-    key = (tuple(tjs), pattern)
-    with _cache_lock:
-        T = _TENSOR_CACHE.get(key)
-        if T is not None:
-            _TENSOR_CACHE.move_to_end(key)
-            return T
-    T = _gathered_tensor(tjs, pattern, top)
-    with _cache_lock:
-        if T.size <= _TENSOR_CACHE_MAX_ENTRIES and T is not _TENSOR_CACHE.get(top):
-            _remember(key, T)
-    return T
-
-
-def _face_weight_vector(grid: Sequence[Spin]) -> np.ndarray:
-    """Internal face measure (-1)^j (2j+1), with the half-integer phase."""
-    return np.array(
-        [_PHASES[s.twice_j % 4] * (s.twice_j + 1) for s in grid],
-        dtype=complex,
-    )
-
-
 def _contract_foam(
     foam: Foam2Complex,
     terms: Sequence[tuple[complex, Mapping[int, LinkWeight | tuple[int, np.ndarray]]]],
-    j_max: Spin,
+    top: int,
     pins: Mapping[int, tuple[int, tuple[int, ...]]] | None = None,
     shape: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Contract the foam against weighted boundary terms, one einsum each.
 
-    ``pins`` maps a boundary link to ``(axis, twice_js)``: its faces take
-    output axis ``axis`` of ``shape``, with 2j ``twice_js[i]`` at index i.
-    The other boundary links are weighted by each term's link weights: a
-    LinkWeight, or ``(axis, table)`` for a weight that follows the labels,
-    whose row i weighs the spin grid from 0 to ``j_max`` at index i of
-    output axis ``axis``.  Internal faces are summed with the (-1)^j (2j+1)
-    measure over their range clipped to ``j_max``.  Returns an array of
-    ``shape``.
+    Every spin is its 2j value, and ``top`` is 2j_max.  ``pins`` maps a
+    boundary link to ``(axis, twice_js)``: its faces take output axis
+    ``axis`` of ``shape``, with 2j ``twice_js[i]`` at index i.  The other
+    boundary links are weighted by each term's link weights: a LinkWeight,
+    or ``(axis, table)`` for a weight that follows the labels, whose row i
+    weighs 2j = 0..``top`` at index i of output axis ``axis``.  Internal
+    faces are summed with the (-1)^j (2j+1) measure over their range
+    clipped to ``top``.  Returns an array of ``shape``.
     """
     pins = pins or {}
     needed = set(foam.boundary_faces.values())
@@ -545,12 +500,14 @@ def _contract_foam(
             f"boundary faces {faces} (links {sorted(missing)}) have no assignment"
         )
 
-    free = {}
+    free, measures = {}, {}
     for f, (lo, hi) in foam.internal_faces.items():
-        grid = Spin.range(lo, Spin(min(hi.twice_j, j_max.twice_j)))
-        if not grid:
-            raise ValueError(f"internal face {f} has an empty grid under j_max={j_max}")
-        free[f] = (tuple(s.twice_j for s in grid), _face_weight_vector(grid))
+        tjs = tuple(range(lo.twice_j, min(hi.twice_j, top) + 1))
+        if not tjs:
+            raise ValueError(f"internal face {f} has an empty grid under j_max={Spin(top)}")
+        if tjs not in measures:
+            measures[tjs] = np.array([_PHASES[t % 4] * (t + 1) for t in tjs], dtype=complex)
+        free[f] = (tjs, measures[tjs])
 
     pinned = {f: pins[l] for f, l in foam.boundary_faces.items() if l in pins}
     order = sorted(set(foam.internal_faces) | (set(foam.boundary_faces) - set(pinned)))
@@ -559,9 +516,8 @@ def _contract_foam(
     label_grid = {}
     for f, (axis, tjs) in pinned.items():
         axis_of[f] = open_ids[axis]
-        label_grid[f] = tuple(t if t <= j_max.twice_j else _OFF_GRID for t in tjs)
+        label_grid[f] = tuple(t if t <= top else _OFF_GRID for t in tjs)
 
-    grid_all = Spin.range(0, j_max)
     built: dict[tuple, np.ndarray] = {}
     total = np.zeros(shape, dtype=complex)
     for weight, link_weights in terms:
@@ -574,7 +530,7 @@ def _contract_foam(
                 continue
             link_weight = link_weights[link]
             if isinstance(link_weight, LinkWeight):
-                vec, axes = link_weight.vector(grid_all), [axis_of[f]]
+                vec, axes = link_weight.vector(top), [axis_of[f]]
                 support = np.flatnonzero(vec)
             else:
                 axis, vec = link_weight
@@ -582,7 +538,6 @@ def _contract_foam(
                 support = np.flatnonzero(vec.any(axis=0))
             if support.size == 0:
                 break
-            # grid_all starts at spin 0, so an index on it is a 2j value.
             grids[f] = tuple(int(t) for t in support)
             weights.append((vec[..., support], axes))
         else:
@@ -598,8 +553,7 @@ def _contract_foam(
                 key = (tjs, pattern)
                 T = built.get(key)
                 if T is None:
-                    build = _gathered_tensor if any(f in pinned for f in faces) else _cached_vertex_tensor
-                    T = built[key] = build(tjs, pattern, j_max.twice_j)
+                    T = built[key] = _gathered_tensor(tjs, pattern, top)
                 args.extend((T, distinct))
             for vec, axes in weights:
                 args.extend((vec, axes))
@@ -643,7 +597,7 @@ def pr_transition(
     one (all downstream rates divide it out).  Summation order is
     deterministic.
     """
-    return complex(_contract_foam(foam, boundary.terms, as_spin(j_max)))
+    return complex(_contract_foam(foam, boundary.terms, as_spin(j_max).twice_j))
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +725,10 @@ class FoamProvider:
             if self.bath.links & pins.keys():
                 raise ValueError("cannot merge boundary states sharing links")
             if isinstance(self.bath, TiedGaussianBath):
-                terms = ((1.0, self.bath.tables(labels, Spin.range(0, self.j_max))),)
+                terms = ((1.0, self.bath.tables(labels, self.j_max.twice_j)),)
             else:
                 terms = self.bath.terms
-        return _contract_foam(self.foam, terms, self.j_max, pins, (len(labels),) * 2)
+        return _contract_foam(self.foam, terms, self.j_max.twice_j, pins, (len(labels),) * 2)
 
 
 def transition_matrix(provider, basis: Sequence) -> TransitionMatrix:

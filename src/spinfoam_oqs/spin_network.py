@@ -105,9 +105,6 @@ class SpinNetwork:
             for end in l.endpoints() if end == node
         ]
 
-    def valence(self, node: int) -> int:
-        return sum(1 for l in self.links for end in l.endpoints() if end == node)
-
     def dangling_links(self) -> list[Link]:
         return [l for l in self.links if l.dangling]
 
@@ -144,7 +141,7 @@ def validate(net: SpinNetwork) -> tuple[bool, list[str]]:
     """
     diagnostics = []
     for node in sorted(net.nodes):
-        incident = [l.spin for l in net.links for end in l.endpoints() if end == node]
+        incident = [l.spin for l in net.incident_links(node)]
         if len(incident) != 3:
             if node not in net.intertwiners and len(incident) > 0:
                 diagnostics.append(

@@ -4,7 +4,6 @@ import contextlib
 import math
 import sys
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from unittest import mock
 
@@ -235,7 +234,7 @@ def scalar_fill_vertex_tensor(tjs, pattern):
         shape[axis] = -1
         face.append(np.array(tjs[k], dtype=np.int64).reshape(shape))
     ok = np.ones(dims, dtype=bool)
-    for a, b, c in amplitudes._VERTEX_TRIADS:
+    for a, b, c in recoupling._TRIADS:
         ta, tb, tc = face[a], face[b], face[c]
         ok &= ((ta + tb + tc) % 2 == 0) & (np.abs(ta - tb) <= tc) & (tc <= ta + tb)
     admissible = np.stack([np.broadcast_to(f, dims)[ok] for f in face], axis=1)
@@ -291,11 +290,10 @@ def test_batched_vertex_tensor_is_bit_identical_to_scalar_fill(case):
 
 
 def fresh_tensor_cache(max_entries=amplitudes._TENSOR_CACHE_MAX_ENTRIES):
-    """An empty tensor cache bounded by ``max_entries``, for one ``with`` block."""
+    """No cached cubes, and a cube bound of ``max_entries``, for one ``with`` block."""
     stack = contextlib.ExitStack()
-    for name, value in (("_TENSOR_CACHE", OrderedDict()), ("_tensor_cache_entries", 0),
-                        ("_TENSOR_CACHE_MAX_ENTRIES", max_entries)):
-        stack.enter_context(mock.patch.object(amplitudes, name, value))
+    stack.enter_context(mock.patch.object(amplitudes, "_CUBES", {}))
+    stack.enter_context(mock.patch.object(amplitudes, "_TENSOR_CACHE_MAX_ENTRIES", max_entries))
     return stack
 
 
@@ -347,6 +345,18 @@ def test_gathered_tensors_are_the_vertex_tensors_in_any_fill_order(case):
                 assert gathered.tobytes() == built.tobytes()  # signed zeros included
                 assert not gathered.flags.writeable
             assert (amplitudes._cube(top) is None) == (bound < (top + 1) ** 6)
+
+
+def test_a_cube_past_the_bound_clears_the_cached_cubes():
+    # The bound holds the 2j <= 4 and 2j <= 2 cubes together; the 2j <= 3
+    # cube would take the sum past it, so it is cached alone.
+    full = (0, 1, 2, 3, 4, 5)
+    with fresh_tensor_cache(5**6 + 3**6):
+        for top, kept in ((4, [4]), (2, [4, 2]), (3, [3])):
+            tjs = (tuple(range(top + 1)),) * 6
+            gathered = amplitudes._gathered_tensor(tjs, full, top)
+            assert gathered.tobytes() == amplitudes._vertex_tensor(tjs, full).tobytes()
+            assert list(amplitudes._CUBES) == kept
 
 
 def test_one_W_computes_only_the_symbols_its_tensors_touch():
@@ -410,7 +420,7 @@ def fused_cases(draw):
         label = spin.map(_spin_str)
     labels = draw(st.lists(label, min_size=1, max_size=3, unique=True))
 
-    bath_links = sorted(set(foam.boundary_links) - set(in_links) - set(out_links))
+    bath_links = sorted(set(foam.boundary_faces.values()) - set(in_links) - set(out_links))
     if name in TIED_FOAMS and draw(st.booleans()):
         # Each bath link follows the in or the out label at random, so one
         # vertex may carry both label axes.  Gaussian centres must be
@@ -483,7 +493,7 @@ def test_fused_tied_W_covers_half_integer_and_off_grid_labels(name):
     # cascade_pair the shared internal face keeps W from factorizing.
     build, in_links, out_links = FUSED_FOAMS[name]
     foam = build((Spin(0), Spin(4)))
-    bath_links = sorted(set(foam.boundary_links) - set(in_links) - set(out_links))
+    bath_links = sorted(set(foam.boundary_faces.values()) - set(in_links) - set(out_links))
     in_vertex = {foam.boundary_faces.get(f) for f in foam.vertex_faces[0]}
     bath = TiedGaussianBath(
         [l for l in bath_links if l in in_vertex], [l for l in bath_links if l not in in_vertex]
@@ -518,10 +528,10 @@ def test_fused_W_missing_bath_links_names_faces():
 
 
 def test_concurrent_fills_keep_the_tensor_cache_consistent():
-    # From an empty cache the threads insert the chains' label-free middle
-    # tensors concurrently, and the j_max = 4 providers fill one 2j <= 8
-    # cube on first touch: the chain3 middle is that whole cube, which
-    # its gather completes while the other foams fill parts of it.
+    # From an empty cache the threads make the 2j <= 5 and 2j <= 8 cubes
+    # concurrently and fill them on first touch: the j_max = 4 chain3
+    # middle is the whole 2j <= 8 cube, which its gather completes while
+    # the other foams fill parts of it.
     providers = [
         FoamProvider(
             chain_foam(3, internal_range=(Spin(1), Spin(top))),
@@ -555,9 +565,9 @@ def test_concurrent_fills_keep_the_tensor_cache_consistent():
             for t in threads:
                 t.join(timeout=120)
             with amplitudes._cache_lock:
-                cached = sum(T.size for T in amplitudes._TENSOR_CACHE.values())
-                assert amplitudes._tensor_cache_entries == cached
-                assert 8 in amplitudes._TENSOR_CACHE
+                cached = sum(cube.size for cube in amplitudes._CUBES.values())
+                assert cached <= amplitudes._TENSOR_CACHE_MAX_ENTRIES
+                assert 8 in amplitudes._CUBES
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)

@@ -144,6 +144,10 @@ def _chain(cfg):
         ("cascade_pr3d", lambda c: c.update(bath={"kind": "delta", "assignment": {"1": True}}),
          "bath.assignment['1'] must be a spin"),
         ("cascade_pr3d", lambda c: c.update(bath={"kind": "gauss"}), "unknown bath kind 'gauss'"),
+        ("cascade_pr3d",
+         lambda c: c.update(bath={"kind": "superposition",
+                                  "terms": [{"weight": True, "assignment": {"1": "1"}}]}),
+         "bath.terms[0].weight must be a number or [re, im], got True"),
         ("disconnected_eq20", lambda c: c["bath"].update({"in": [1.5, 2, 3, 4, 5]}),
          "bath.in must be a list of integer link indices"),
         ("disconnected_eq20",
@@ -171,7 +175,7 @@ def _chain(cfg):
         "vertices_float", "internal_max_bool", "basis_bool", "basis_tuple_label",
         "jmax_bool", "jmax_zero_denominator", "foam_list", "lambda1_bool",
         "regge_action_str", "alpha_bool", "jmax_any_backend", "center_bool",
-        "center_key_fraction", "delta_spin_bool", "bath_kind", "tied_link_float",
+        "center_key_fraction", "delta_spin_bool", "bath_kind", "bath_weight_bool", "tied_link_float",
         "superposition_weight_bool", "superposition_term_short", "matrix_cell_bool",
         "initial_label", "normalization_asymptotic", "normalization_bogus",
         "asymptotic_basis_size", "asymptotic_basis_bool",
@@ -191,6 +195,27 @@ def test_bad_fields_rejected_before_any_output(tmp_path, scenario, edit, message
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["error"].startswith("ScenarioError: ") and message in report["error"]
     assert not (tmp_path / "run" / "kappa.csv").exists()
+
+
+def test_superposition_bath_is_the_weighted_sum_of_its_delta_terms():
+    from spinfoam_oqs.amplitudes import transition_matrix
+
+    data = json.loads((SCENARIOS / "cascade_pr3d.json").read_text())
+    bath_links = ("1", "2", "4", "5", "6", "7", "8", "9")
+    assignments = [{l: "1" for l in bath_links},
+                   {**{l: "2" for l in bath_links}, "7": "1", "8": "1"}]
+
+    def W(bath):
+        cfg = ScenarioConfig.from_mapping({**data, "bath": bath})
+        return transition_matrix(cfg.provider, cfg.labels).entries
+
+    W1, W2 = (W({"kind": "delta", "assignment": a}) for a in assignments)
+    both = W({"kind": "superposition", "terms": [
+        {"weight": 0.5, "assignment": assignments[0]},
+        {"weight": [-0.7, 0.4], "assignment": assignments[1]},
+    ]})
+    assert np.abs(W1).max() > 0 and np.abs(W2).max() > 0
+    assert both.tobytes() == (0.5 * W1 + (-0.7 + 0.4j) * W2).tobytes()
 
 
 def test_jmax_override_is_checked_like_the_config(tmp_path, capsys):
@@ -465,6 +490,22 @@ def test_cli_steady_state(tmp_path, capsys):
     assert (tmp_path / "steady.csv").exists()
     out = capsys.readouterr().out
     assert "steady[0]" in out
+
+
+def test_cli_steady_state_reports_a_failed_kappa(tmp_path, capsys):
+    # The config loads, but spin 3 lies above jmax 2, so W has an all-zero
+    # column for it and kappa cannot be normalized.
+    data = json.loads((SCENARIOS / "cascade_pr3d.json").read_text())
+    data["basis"] = ["0", "1", "2", "3"]
+    path = tmp_path / "above_jmax.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["steady-state", "--config", str(path), "--out", str(out)]) == 1
+    message = "ValueError: all-zero amplitude column for in state(s) ['3']"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    report = json.loads((out / "steady_report.json").read_text())
+    assert report["status"] == "error" and report["error"] == message
+    assert not (out / "steady.csv").exists()
 
 
 # Closed classes {1, 3} and {2, 4}; state 0 is transient and feeds both.

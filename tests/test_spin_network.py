@@ -172,6 +172,22 @@ def test_union_ambiguous_pairing_errors():
     assert len(glued.dangling_links()) == 0
 
 
+def test_union_renumbers_clashing_nodes_and_links():
+    # Both parts number their nodes {0, 1} and their links 0 and 1, so b's
+    # nodes move past a's and its unpaired links take the next free ids.
+    def part(ends):
+        links = [Link(i, 0, 1, as_spin(1)) for i in (0, 1)]
+        links += [Link(l, node, None, as_spin(1)) for l, node in zip(ends, (0, 1))]
+        return SubSpinNetwork([0, 1], links)
+
+    glued = union(part((5, 6)), part((7, 8)), pairing=[(5, 7), (6, 8)])
+    assert glued.nodes == frozenset({0, 1, 2, 3})
+    assert {l.link_id: l.endpoints() for l in glued.links} == {
+        0: (0, 1), 1: (0, 1), 2: (2, 3), 3: (2, 3), 5: (0, 2), 6: (1, 3),
+    }
+    assert validate(glued) == (True, [])
+
+
 def test_zero_is_falsy_value_not_exception():
     assert not ZERO
     assert repr(ZERO) == "ZERO"

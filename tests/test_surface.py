@@ -1,11 +1,12 @@
-"""The package's public surface: every top-level function and class has a reader.
+"""The package's public surface: every top-level function and class, and
+every method and property of a public class, has a reader.
 
 A public name passes when package code outside its own definition uses it
 (the re-exports in ``__init__`` do not count), when
 ``tests/test_acceptance.py`` uses it, when the README names it in code
 (backticks or a fenced block), or when ``KEPT`` gives the reason it stays.
-A name that passes none of these is dead surface: delete it with its
-tests, or give it a caller.
+Members are keyed ``Class.member`` in ``KEPT``.  A name that passes none
+of these is dead surface: delete it with its tests, or give it a caller.
 """
 
 import ast
@@ -30,51 +31,65 @@ KEPT = {
     "configure": "SpinCapacityError's message names it as the way to raise the spin limit",
     "cache_info": "perfbench reads the 6j cache counters through it",
     "clear_cache": "resets the global 6j cache that cache_info reports on",
+    "BoundaryState.merged": "test oracle: joins the pins and the bath in the entrywise W"
+                            " of test_fused_W_matches_entrywise",
+    "TwoVertexModel.flattened": "perfbench's fit check recomputes a reported fit cost through it",
+    "KrausSet.as_superoperator": "test oracle: the channel that test_kraus_reconstructs_channel"
+                                 " rebuilds from the Kraus operators",
 }
 
 
-def used_names(nodes) -> set[str]:
-    """Every name and attribute name that the given AST nodes use."""
-    used = set()
+def name_uses(nodes) -> Counter:
+    """How often the given AST nodes use each name and attribute name."""
+    uses = Counter()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                used.add(sub.id)
+                uses[sub.id] += 1
             elif isinstance(sub, ast.Attribute):
-                used.add(sub.attr)
-    return used
+                uses[sub.attr] += 1
+    return uses
+
+
+def public_definitions(tree: ast.Module):
+    """(``name`` or ``Class.member``, node) of each public top-level function
+    and class, and of each public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member
 
 
 def unread_names() -> list[str]:
-    """Public top-level names that no reader uses, as ``module.name``."""
-    definitions = [
-        (path.stem, node, used_names([node]))
+    """Public names that no reader uses, as ``module.name`` or ``module.Class.member``."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "__init__"
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
-    # How many top-level statements of the package use each name.
-    uses = Counter(name for _, _, names in definitions for name in names)
+    }
+    uses = name_uses(trees.values())
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
-    readers = used_names([acceptance]) | set(re.findall(r"\w+", " ".join(code)))
+    readers = set(name_uses([acceptance])) | set(re.findall(r"\w+", " ".join(code)))
     return [
-        f"{module}.{node.name}"
-        for module, node, names in definitions
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and uses[node.name] - (node.name in names) == 0  # used by its own definition at most
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in public_definitions(tree)
+        if uses[node.name] == name_uses([node])[node.name]  # used by its own definition at most
         and node.name not in readers
     ]
 
 
 def test_every_public_name_has_a_reader():
-    dead = [name for name in unread_names() if name.split(".")[1] not in KEPT]
+    dead = [name for name in unread_names() if name.split(".", 1)[1] not in KEPT]
     assert not dead, f"public names nothing reads: {dead}"
 
 
 def test_every_kept_name_is_public_and_unread_otherwise():
     # An entry whose name gained a reader, or lost its definition, goes.
-    unread = {name.split(".")[1] for name in unread_names()}
+    unread = {name.split(".", 1)[1] for name in unread_names()}
     assert sorted(set(KEPT) - unread) == []
