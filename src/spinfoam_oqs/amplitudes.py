@@ -17,12 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .recoupling import _TRIADS, Spin, as_spin, wigner6j, wigner6j_batch
+from .recoupling import _TRIADS, Spin, as_spin, spin_text, wigner6j, wigner6j_batch
 
 GAUSSIAN_TAIL_CUT = 1e-8
 KAPPA_NORMALIZATION_TOL = 1e-12  # how far a kappa column (over_n) or row (over_m) sums from 1
@@ -66,14 +66,14 @@ class Foam2Complex:
     """Small 2-complex whose vertices each expose six face slots.
 
     ``boundary_faces`` maps a face id to the boundary-network link it ends
-    on; ``internal_faces`` maps a face id to its summed spin range.  A face
-    id may appear in several vertices (shared face), but boundary faces
-    must touch exactly one vertex.
+    on; ``internal_faces`` maps a face id to its summed spin range, the 2j
+    pair (lo, hi).  A face id may appear in several vertices (shared face),
+    but boundary faces must touch exactly one vertex.
     """
 
     vertex_faces: tuple[tuple[int, ...], ...]
     boundary_faces: Mapping[int, int]
-    internal_faces: Mapping[int, tuple[Spin, Spin]]
+    internal_faces: Mapping[int, tuple[int, int]]
 
     def __post_init__(self):
         object.__setattr__(self, "boundary_faces", dict(self.boundary_faces))
@@ -97,6 +97,14 @@ class Foam2Complex:
                 raise ValueError(f"internal face {f} touches no vertex")
 
 
+def _twice_j_range(internal_range) -> tuple[int, int]:
+    """An internal face's spin range (lo, hi) as 2j values; 0 to 4 when None."""
+    if internal_range is None:
+        return (0, 8)
+    lo, hi = internal_range
+    return as_spin(lo).twice_j, as_spin(hi).twice_j
+
+
 def single_vertex_foam() -> Foam2Complex:
     """One tetrahedral vertex, all six faces on the boundary (links 0..5)."""
     return Foam2Complex(
@@ -115,19 +123,17 @@ def disconnected_pair_foam() -> Foam2Complex:
     )
 
 
-def chain_foam(
-    n_vertices: int,
-    internal_range: tuple[Spin, Spin] | None = None,
-) -> Foam2Complex:
+def chain_foam(n_vertices: int, internal_range=None) -> Foam2Complex:
     """Chain of vertices glued one-by-one, three shared faces per gluing.
 
     The first vertex keeps three boundary faces (links 0,1,2, the in slot),
     the last keeps three (links 3,4,5, the out slot); every gluing
-    contributes three internal faces.
+    contributes three internal faces, each summed over the spins
+    ``internal_range`` = (lo, hi), 0 to 4 by default.
     """
     if n_vertices < 2:
         raise ValueError("a chain needs at least 2 vertices")
-    lo, hi = internal_range if internal_range is not None else (Spin(0), Spin(8))
+    face_range = _twice_j_range(internal_range)
     next_face = 0
 
     def take(k):
@@ -148,26 +154,25 @@ def chain_foam(
 
     boundary = {f: i for i, f in enumerate(in_faces)}
     boundary.update({f: 3 + i for i, f in enumerate(out_faces)})
-    internal = {f: (lo, hi) for grp in shared for f in grp}
+    internal = {f: face_range for grp in shared for f in grp}
     return Foam2Complex(tuple(vertex_faces), boundary, internal)
 
 
-def bridged_pair_foam(internal_range: tuple[Spin, Spin] | None = None) -> Foam2Complex:
+def bridged_pair_foam(internal_range=None) -> Foam2Complex:
     """Two vertices sharing a single face, four free boundary links.
 
     Boundary links: 0,1,2 = in slot (vertex 0), 3,4,5 = out slot
     (vertex 1), 6..9 = bath links (two per vertex).  Face 12 is shared and
-    summed.
+    summed over the spins ``internal_range`` = (lo, hi), 0 to 4 by default.
     """
-    lo, hi = internal_range if internal_range is not None else (Spin(0), Spin(8))
     return Foam2Complex(
         vertex_faces=((0, 1, 2, 6, 7, 12), (12, 8, 9, 3, 4, 5)),
         boundary_faces={0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9},
-        internal_faces={12: (lo, hi)},
+        internal_faces={12: _twice_j_range(internal_range)},
     )
 
 
-def cascade_pair_foam(internal_range: tuple[Spin, Spin] | None = None) -> Foam2Complex:
+def cascade_pair_foam(internal_range=None) -> Foam2Complex:
     """Two vertices sharing one face, arranged so one boundary link per
     vertex sits in a triangle with the shared face.
 
@@ -175,13 +180,13 @@ def cascade_pair_foam(internal_range: tuple[Spin, Spin] | None = None) -> Foam2C
     single-link slots; the spins of links 7 and 8 close the triangles
     around the shared face 12 and therefore gate how far the shared spin
     can stray from the slot labels.  Links 1,2,4,5,6,9 are free bath
-    links.
+    links.  Face 12 is summed over the spins ``internal_range`` = (lo, hi),
+    0 to 4 by default.
     """
-    lo, hi = internal_range if internal_range is not None else (Spin(0), Spin(8))
     return Foam2Complex(
         vertex_faces=((0, 7, 12, 6, 1, 2), (3, 8, 12, 9, 4, 5)),
         boundary_faces={0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9},
-        internal_faces={12: (lo, hi)},
+        internal_faces={12: _twice_j_range(internal_range)},
     )
 
 
@@ -193,34 +198,35 @@ def cascade_pair_foam(internal_range: tuple[Spin, Spin] | None = None) -> Foam2C
 class LinkWeight:
     """Per-link weight profile over the spin grid.
 
-    Delta profiles pin a grid spin; gaussian profiles weigh the grid by
-    exp(-(j - j0)^2 / sqrt(j0)) around a positive (not necessarily
-    half-integer) center.
+    A delta profile pins the spin ``center``; a gaussian profile weighs
+    the grid by exp(-(j - j0)^2 / sqrt(j0)) around a positive (not
+    necessarily half-integer) ``center`` j0, a number or a ``Spin``.
+    Either center is held doubled, as ``twice_center``: the pinned 2j, or
+    2 j0.
     """
 
     kind: str  # "delta" | "gaussian"
-    center: Spin | float
+    center: InitVar
+    twice_center: int | float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, center):
         if self.kind == "delta":
-            object.__setattr__(self, "center", as_spin(self.center))
+            twice_center = as_spin(center).twice_j
         elif self.kind == "gaussian":
-            j0 = float(
-                self.center.j if isinstance(self.center, Spin) else self.center
-            )
-            if j0 <= 0:
+            twice_center = center.twice_j if isinstance(center, Spin) else 2 * float(center)
+            if twice_center <= 0:
                 raise ValueError("gaussian weight needs a positive center")
-            object.__setattr__(self, "center", j0)
         else:
             raise ValueError(f"unknown link weight kind {self.kind!r}")
+        object.__setattr__(self, "twice_center", twice_center)
 
     def vector(self, top: int) -> np.ndarray:
         """Weights of the 2j values 0..``top``."""
         if self.kind == "delta":
             return np.array(
-                [1.0 if t == self.center.twice_j else 0.0 for t in range(top + 1)], dtype=complex
+                [1.0 if t == self.twice_center else 0.0 for t in range(top + 1)], dtype=complex
             )
-        j0 = float(self.center)
+        j0 = self.twice_center / 2
         w = np.array(
             [math.exp(-((t / 2 - j0) ** 2) / math.sqrt(j0)) for t in range(top + 1)],
             dtype=float,
@@ -249,9 +255,7 @@ class BoundaryState:
 
     @classmethod
     def delta(cls, assignment: Mapping[int, Spin | float | str], weight: complex = 1.0):
-        return cls(
-            [(weight, {l: LinkWeight("delta", as_spin(s)) for l, s in assignment.items()})]
-        )
+        return cls([(weight, {l: LinkWeight("delta", s) for l, s in assignment.items()})])
 
     @classmethod
     def gaussian(cls, centers: Mapping[int, Spin | float], weight: complex = 1.0):
@@ -259,12 +263,8 @@ class BoundaryState:
 
     @classmethod
     def superposition(cls, terms: Sequence[tuple[complex, Mapping[int, Spin | float | str]]]):
-        return cls(
-            [
-                (w, {l: LinkWeight("delta", as_spin(s)) for l, s in assignment.items()})
-                for w, assignment in terms
-            ]
-        )
+        return cls([(w, {l: LinkWeight("delta", s) for l, s in assignment.items()})
+                    for w, assignment in terms])
 
     def merged(self, other: "BoundaryState") -> "BoundaryState":
         """Product state over the disjoint union of the two link sets."""
@@ -304,19 +304,20 @@ class TiedGaussianBath:
     def links(self) -> frozenset[int]:
         return frozenset(self.in_links + self.out_links)
 
-    def tables(self, labels, top: int) -> dict[int, tuple[int, np.ndarray]]:
+    def _tables(self, twice_js, top: int) -> dict[int, tuple[int, np.ndarray]]:
         """Per link: (open axis, weight table with one row per label over 2j = 0..``top``).
 
+        ``twice_js`` holds each label as ``_label_twice_js`` parses it.
         In-links take the column axis 1 and out-links the row axis 0.
         """
         rows = []
-        for label in labels:
-            if isinstance(label, (tuple, list)):
+        for t in twice_js:
+            if isinstance(t, tuple):
                 raise ValueError(
-                    f"a tied gaussian bath needs single-spin labels, got {label_str(label)}"
+                    f"a tied gaussian bath needs single-spin labels, got {_label_text(t)}"
                 )
-            rows.append(LinkWeight("gaussian", as_spin(label)).vector(top))
-        table = np.array(rows).reshape(len(labels), top + 1)
+            rows.append(LinkWeight("gaussian", t / 2).vector(top))
+        table = np.array(rows).reshape(len(twice_js), top + 1)
         out = {l: (1, table) for l in self.in_links}
         out.update({l: (0, table) for l in self.out_links})
         return out
@@ -502,9 +503,9 @@ def _contract_foam(
 
     free, measures = {}, {}
     for f, (lo, hi) in foam.internal_faces.items():
-        tjs = tuple(range(lo.twice_j, min(hi.twice_j, top) + 1))
+        tjs = tuple(range(lo, min(hi, top) + 1))
         if not tjs:
-            raise ValueError(f"internal face {f} has an empty grid under j_max={Spin(top)}")
+            raise ValueError(f"internal face {f} has an empty grid under j_max={spin_text(top)}")
         if tjs not in measures:
             measures[tjs] = np.array([_PHASES[t % 4] * (t + 1) for t in tjs], dtype=complex)
         free[f] = (tjs, measures[tjs])
@@ -588,7 +589,7 @@ def _einsum(args: list) -> np.ndarray:
 def pr_transition(
     foam: Foam2Complex,
     boundary: BoundaryState,
-    j_max: Spin | float | str = Spin(8),
+    j_max: Spin | float | str = 4,
 ) -> complex:
     """Contract the foam amplitude against a boundary state.
 
@@ -604,23 +605,44 @@ def pr_transition(
 # Transition matrices and damping rates
 # ---------------------------------------------------------------------------
 
-def label_spins(label, n_slots: int) -> tuple[Spin, ...]:
-    """A basis label is one spin (replicated) or a tuple of slot spins."""
-    if isinstance(label, (tuple, list)):
-        spins = tuple(as_spin(s) for s in label)
-        if len(spins) != n_slots:
-            raise ValueError(f"label {label!r} does not fill {n_slots} slots")
-        return spins
-    return (as_spin(label),) * n_slots
+def _label_twice_js(labels) -> list:
+    """Each basis label as 2j: an int for one spin, a tuple for a list of
+    slot spins.  A basis draws its labels from a few spins, so each
+    distinct spin is parsed once."""
+    parsed = {}
+
+    def twice_j(spin) -> int:
+        key = (type(spin), spin)  # 1, 1.0 and "1" each parse once
+        t = parsed.get(key)
+        if t is None:
+            t = parsed[key] = as_spin(spin).twice_j
+        return t
+
+    return [tuple(map(twice_j, l)) if isinstance(l, (tuple, list)) else twice_j(l) for l in labels]
+
+
+def _label_slots(twice_j, n_slots: int) -> tuple[int, ...]:
+    """A parsed label's 2j on each of ``n_slots`` slots: one spin fills them all."""
+    if not isinstance(twice_j, tuple):
+        return (twice_j,) * n_slots
+    if len(twice_j) != n_slots:
+        raise ValueError(f"label {_label_text(twice_j)} does not fill {n_slots} slots")
+    return twice_j
+
+
+def _label_text(twice_j) -> str:
+    """A parsed label's name: "3/2", or "(1/2,1,3/2)" for slot spins."""
+    if isinstance(twice_j, tuple):
+        return "(" + ",".join(map(spin_text, twice_j)) + ")"
+    return spin_text(twice_j)
 
 
 def label_str(label) -> str:
-    try:
-        if isinstance(label, (tuple, list)):
-            return "(" + ",".join(str(as_spin(s)) for s in label) + ")"
-        return str(as_spin(label))
-    except (ValueError, TypeError):
-        return str(label)
+    """A basis label's name, as W and kappa list it: "3/2" or "(1/2,1,3/2)".
+
+    Raises ValueError or TypeError when the label holds no spins.
+    """
+    return _label_text(_label_twice_js([label])[0])
 
 
 @dataclass(frozen=True)
@@ -694,7 +716,7 @@ class FoamProvider:
         in_links: Sequence[int],
         out_links: Sequence[int],
         bath: BoundaryState | TiedGaussianBath | None = None,
-        j_max: Spin | float | str = Spin(8),
+        j_max: Spin | float | str = 4,
     ):
         if bath is not None and not isinstance(bath, (BoundaryState, TiedGaussianBath)):
             raise TypeError(
@@ -705,10 +727,11 @@ class FoamProvider:
         self.in_links = tuple(in_links)
         self.out_links = tuple(out_links)
         self.bath = bath
-        self.j_max = as_spin(j_max)
+        self.two_j_max = as_spin(j_max).twice_j
 
-    def matrix(self, labels) -> np.ndarray:
-        """All of W, one contraction per bath term.
+    def _matrix(self, twice_js) -> np.ndarray:
+        """All of W over labels parsed by ``_label_twice_js``, one
+        contraction per bath term.
 
         Faces on in-links take the open column axis m and faces on
         out-links the row axis n, each over the label spins of its slot;
@@ -716,30 +739,31 @@ class FoamProvider:
         """
         pins: dict[int, tuple[int, tuple[int, ...]]] = {}
         for axis, links in ((1, self.in_links), (0, self.out_links)):
-            spins = [label_spins(label, len(links)) for label in labels]
+            slots = [_label_slots(t, len(links)) for t in twice_js]
             for k, link in enumerate(links):
-                pins[link] = (axis, tuple(s[k].twice_j for s in spins))
+                pins[link] = (axis, tuple(s[k] for s in slots))
         if self.bath is None:
             terms = ((1.0, {}),)
         else:
             if self.bath.links & pins.keys():
                 raise ValueError("cannot merge boundary states sharing links")
             if isinstance(self.bath, TiedGaussianBath):
-                terms = ((1.0, self.bath.tables(labels, self.j_max.twice_j)),)
+                terms = ((1.0, self.bath._tables(twice_js, self.two_j_max)),)
             else:
                 terms = self.bath.terms
-        return _contract_foam(self.foam, terms, self.j_max.twice_j, pins, (len(labels),) * 2)
+        return _contract_foam(self.foam, terms, self.two_j_max, pins, (len(twice_js),) * 2)
 
 
 def transition_matrix(provider, basis: Sequence) -> TransitionMatrix:
-    """Fill W[n, m] over all basis pairs with ``provider.matrix(labels)``.
+    """W[n, m] over all basis pairs: the basis labels, each one spin or a
+    list of slot spins, are parsed once and filled by ``provider._matrix``.
 
     Provider failures are re-raised with the basis attached.
     """
-    labels = list(basis)
-    names = tuple(label_str(l) for l in labels)
+    twice_js = _label_twice_js(basis)
+    names = tuple(map(_label_text, twice_js))
     try:
-        entries = provider.matrix(labels)
+        entries = provider._matrix(twice_js)
     except MissingBoundaryError:
         raise
     except Exception as exc:  # noqa: BLE001 - context per contract

@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import TransitionMatrix, label_spins, vertex_amplitudes
-from .recoupling import Spin, as_spin
+from .amplitudes import TransitionMatrix, _label_slots, _label_twice_js, vertex_amplitudes
+from .recoupling import Spin, as_spin, spin_text
 
 
 def cost(a: np.ndarray, b: np.ndarray) -> float:
@@ -56,47 +55,26 @@ class TwoVertexModel:
 
     Each vertex amplitude is linear in its bath weights:
     Wv(label; theta) = sum_b theta_b * vertex(label spins, bath triple b).
+    The basis labels and bath triples are kept as given; their spins are
+    parsed once, when the model is made, into the two vertex tables.
     """
 
     basis: tuple
-    bath_triples_in: tuple[tuple[Spin, Spin, Spin], ...]
-    bath_triples_out: tuple[tuple[Spin, Spin, Spin], ...]
+    bath_triples_in: tuple
+    bath_triples_out: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "bath_triples_in",
-            tuple(tuple(as_spin(s) for s in t) for t in self.bath_triples_in),
-        )
-        object.__setattr__(
-            self,
-            "bath_triples_out",
-            tuple(tuple(as_spin(s) for s in t) for t in self.bath_triples_out),
-        )
+        labels = _triples(self.basis)
+        tables = (_amplitude_table(labels, baths)
+                  for baths in (self.bath_triples_in, self.bath_triples_out))
+        object.__setattr__(self, "_tables", tuple(tables))
 
     @property
     def n_params(self) -> int:
         return len(self.bath_triples_in) + len(self.bath_triples_out)
 
-    def _amplitude_table(self, triples) -> np.ndarray:
-        labels = np.array(
-            [[s.twice_j for s in label_spins(label, 3)] for label in self.basis], dtype=np.int64
-        ).reshape(-1, 3)
-        baths = np.array([[s.twice_j for s in t] for t in triples], dtype=np.int64).reshape(-1, 3)
-        rows = np.hstack([np.repeat(labels, len(baths), axis=0), np.tile(baths, (len(labels), 1))])
-        table = vertex_amplitudes(rows).reshape(len(labels), len(baths))
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            self._amplitude_table(self.bath_triples_in),
-            self._amplitude_table(self.bath_triples_out),
-        )
-
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (read-only) in and out vertex tables, built on first use."""
+        """The (read-only) in and out vertex tables."""
         return self._tables
 
     def matrix(self, params: Sequence[float]) -> np.ndarray:
@@ -112,6 +90,21 @@ class TwoVertexModel:
     def flattened(self, params: Sequence[float]) -> np.ndarray:
         """The model table as one vector, as ``perfbench/checks.py`` recomputes a fit's cost."""
         return self.matrix(params).reshape(-1)
+
+
+def _triples(labels) -> np.ndarray:
+    """The (N, 3) 2j array of labels that are single spins or spin triples."""
+    twice_js = [_label_slots(t, 3) for t in _label_twice_js(labels)]
+    return np.array(twice_js, dtype=np.int64).reshape(-1, 3)
+
+
+def _amplitude_table(labels: np.ndarray, bath_triples) -> np.ndarray:
+    """Read-only vertex amplitudes of each label row against each bath triple."""
+    baths = _triples(bath_triples)
+    rows = np.hstack([np.repeat(labels, len(baths), axis=0), np.tile(baths, (len(labels), 1))])
+    table = vertex_amplitudes(rows).reshape(len(labels), len(baths))
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -255,10 +248,10 @@ def admissible_triple_basis(
     Each basis element is the boundary of a single trivalent node, the
     reduced state used throughout the fitting pipeline.
     """
-    lo, hi = as_spin(j_min), as_spin(j_max)
-    if lo.twice_j > hi.twice_j:
-        raise ValueError(f"empty spin range [{lo}, {hi}]")
-    twice_j = range(lo.twice_j, hi.twice_j + 1)
+    lo, hi = as_spin(j_min).twice_j, as_spin(j_max).twice_j
+    if lo > hi:
+        raise ValueError(f"empty spin range [{spin_text(lo)}, {spin_text(hi)}]")
+    twice_j = range(lo, hi + 1)
     labels: list[tuple[int, int, int]] = []
     attempt = 0
     while len(labels) < n_labels:
@@ -268,7 +261,7 @@ def admissible_triple_basis(
                        if (a + b + c) % 2 == 0 and c <= a + b)
             raise ValueError(
                 f"found {len(labels)} distinct admissible triples in {attempt} attempts; "
-                f"[{lo}, {hi}] holds {held}; asked for {n_labels}"
+                f"[{spin_text(lo)}, {spin_text(hi)}] holds {held}; asked for {n_labels}"
             )
         rng = random.Random(seed + attempt)
         attempt += 1
@@ -286,13 +279,9 @@ def admissible_triple_basis(
     return tuple(tuple(Spin(t) for t in triple) for triple in labels)
 
 
-# The parity-covering bath as spins, parsed once.
-_STANDARD_BATH = tuple(tuple(as_spin(s) for s in t) for t in PARITY_COVERING_BATH)
-
-
 def standard_model(basis) -> TwoVertexModel:
     """Two-vertex model with the parity-covering bath on both vertices."""
-    return TwoVertexModel(tuple(basis), _STANDARD_BATH, _STANDARD_BATH)
+    return TwoVertexModel(tuple(basis), PARITY_COVERING_BATH, PARITY_COVERING_BATH)
 
 
 def basis_from_network_file(path) -> tuple[tuple[Spin, Spin, Spin], ...]:
@@ -328,9 +317,7 @@ def chain_target(
     """Amplitude table of a one-edge-glued chain foam over the basis."""
     from .amplitudes import FoamProvider, chain_foam, transition_matrix
 
-    foam = chain_foam(
-        n_vertices, internal_range=(Spin(0), as_spin(internal_max))
-    )
+    foam = chain_foam(n_vertices, internal_range=(0, internal_max))
     provider = FoamProvider(
         foam, in_links=(0, 1, 2), out_links=(3, 4, 5), bath=None, j_max=j_max
     )

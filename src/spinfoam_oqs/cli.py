@@ -196,10 +196,9 @@ def _cmd_compare(args) -> int:
 def _cmd_spectral_temperature(args) -> int:
     from .lindblad import Trajectory
     from .observables import EnergySpectrum
-    from .recoupling import as_spin
     from .scenario import temperature_csv
 
-    spins = tuple(as_spin(s.strip()) for s in args.spins.split(","))
+    spins = tuple(s.strip() for s in args.spins.split(","))
     spec = EnergySpectrum(spins, scale=args.scale)
     header, rows = _read_csv(args.trajectory)
     pop_cols = [i for i, name in enumerate(header) if name.startswith("p_")]

@@ -48,6 +48,7 @@ CHOI_NEGATIVITY_TOL = 1e-8
 KRAUS_KEEP_TOL = 1e-12
 INVARIANCE_TOL = 1e-8
 ZERO_RATE_TOL = 1e-12  # relative to ||L||: the generator's kernel (see _kernel_projector)
+SPAN_TOL = 1e-8  # relative: a kernel image this far off the kept span is a new steady state
 POISSON_TAIL = 2.0**-60  # uniformization stops at the first Poisson weight below this
 
 
@@ -420,9 +421,9 @@ def evolve_continuous(L: Superoperator, rho0: np.ndarray, t: float) -> np.ndarra
     return _stepped(step, rho0, int(t != 0.0), t, f"evolution to t={t}, step").states[-1]
 
 
-def _kernel_projector(L: Superoperator) -> tuple[np.ndarray, bool]:
-    """Projector P onto ker L along the range of L, and whether a nonzero
-    eigenvalue of L has a real part above -``ZERO_RATE_TOL`` ||L||.
+def _kernel_projector(L: Superoperator) -> tuple[np.ndarray, int, bool]:
+    """Projector P onto ker L along the range of L, dim ker L, and whether
+    a nonzero eigenvalue of L has a real part above -``ZERO_RATE_TOL`` ||L||.
 
     dim ker L is k, the number of eigenvalues within ``ZERO_RATE_TOL`` ||L||
     of 0 (the singular values of a non-normal L can lie far below its slow
@@ -445,7 +446,7 @@ def _kernel_projector(L: Superoperator) -> tuple[np.ndarray, bool]:
             f"{nullity} singular value(s) within 1e-12 ||L|| of 0"
         )
     R, Qh = vh[-k:].conj().T, u[:, -k:].conj().T
-    return R @ np.linalg.solve(Qh @ R, Qh), bool(np.any(~zero & (eigenvalues.real > -zero_rate)))
+    return R @ np.linalg.solve(Qh @ R, Qh), k, bool(np.any(~zero & (eigenvalues.real > -zero_rate)))
 
 
 def limit_channel(L: Superoperator) -> Superoperator:
@@ -456,7 +457,7 @@ def limit_channel(L: Superoperator) -> Superoperator:
     """
     if L.kind != "generator":
         raise ValueError("limit_channel needs a generator")
-    P, undamped = _kernel_projector(L)
+    P, _, undamped = _kernel_projector(L)
     if undamped:
         raise InvariantViolation("no large-time limit: a nonzero eigenvalue does not decay")
     return Superoperator(P, "channel")
@@ -468,14 +469,15 @@ def steady_states(L: Superoperator) -> list[np.ndarray]:
     The probes are I/d, each |k><k|, then for k < l (|k> + |l>)(<k| + <l|)/2
     and (|k> + i|l>)(<k| - i<l|)/2.  They span all matrices, so their images
     span ker L; an image is kept, in that order, when its distance from the
-    span of the kept ones exceeds ``ZERO_RATE_TOL`` times its norm.  The
-    first state is the one that I/d relaxes to.  Each passes
+    span of the kept ones, orthogonalized against them twice, exceeds
+    ``SPAN_TOL`` times its norm.  Exactly dim ker L are kept, or it raises.
+    The first state is the one that I/d relaxes to.  Each passes
     ``clamp_density_matrix`` and ||L rho|| <= 1e-10.
     """
     if L.kind != "generator":
         raise ValueError("steady_states needs a generator")
     d = L.dim
-    P, _ = _kernel_projector(L)
+    P, dim_ker, _ = _kernel_projector(L)
     eye = np.eye(d)
     pure = [eye[k] for k in range(d)] + [
         (eye[k] + phase * eye[l]) / math.sqrt(2)
@@ -486,14 +488,17 @@ def steady_states(L: Superoperator) -> list[np.ndarray]:
     states = []
     for image in images.T:
         residual = image - basis @ (basis.conj().T @ image)
+        residual -= basis @ (basis.conj().T @ residual)
         distance = np.linalg.norm(residual)
-        if distance > ZERO_RATE_TOL * np.linalg.norm(image):
+        if distance > SPAN_TOL * np.linalg.norm(image):
             basis = np.column_stack([basis, residual / distance])
             rho, _ = clamp_density_matrix(unvec(image, d), "steady state")
             defect = float(np.max(np.abs(L.apply(rho))))
             if defect > 1e-10:
                 raise EmptyKernelError(f"steady state fails ||L rho|| <= 1e-10 ({defect:.2e})")
             states.append(rho)
+    if len(states) != dim_ker:
+        raise InvariantViolation(f"{len(states)} steady states for a kernel of dimension {dim_ker}")
     return states
 
 

@@ -9,11 +9,11 @@ telescopes exactly to the total energy drop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .lindblad import Trajectory
-from .recoupling import Spin, as_spin
+from .recoupling import as_spin
 
 
 # Largest off-diagonal entry for which a state counts as diagonal in the
@@ -29,37 +29,33 @@ class UndefinedTemperatureError(ValueError):
 
 def area(j, gamma_immirzi: float = 1.0) -> float:
     """Area eigenvalue 8 pi gamma sqrt(j(j+1)) in Planck units."""
-    s = as_spin(j)
-    jj = s.twice_j * (s.twice_j + 2) / 4.0  # j(j+1) computed exactly from 2j
-    return 8.0 * math.pi * gamma_immirzi * math.sqrt(jj)
+    t = as_spin(j).twice_j
+    return 8.0 * math.pi * gamma_immirzi * math.sqrt(t * (t + 2) / 4.0)  # j(j+1) exactly from 2j
 
 
 @dataclass(frozen=True)
 class EnergySpectrum:
-    """Level energies scale*sqrt(j(j+1)) for a list of distinct level spins."""
+    """Level energies scale*sqrt(j(j+1)) for a list of distinct level
+    spins, held as their 2j values ``twice_js``."""
 
-    spins: tuple[Spin, ...]
+    spins: InitVar
     scale: float = 1.0
+    twice_js: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        spins = tuple(as_spin(s) for s in self.spins)
-        if len(set(spins)) != len(spins):
+    def __post_init__(self, spins):
+        twice_js = tuple(as_spin(s).twice_j for s in spins)
+        if len(set(twice_js)) != len(twice_js):
             raise ValueError("level spins must be distinct")
         if not 0 < self.scale < math.inf:
             raise ValueError(f"energy scale must be positive and finite, got {self.scale}")
-        object.__setattr__(self, "spins", spins)
+        object.__setattr__(self, "twice_js", twice_js)
 
     @property
     def dim(self) -> int:
-        return len(self.spins)
+        return len(self.twice_js)
 
     def energies(self) -> np.ndarray:
-        return np.array(
-            [
-                self.scale * math.sqrt(s.twice_j * (s.twice_j + 2) / 4.0)
-                for s in self.spins
-            ]
-        )
+        return np.array([self.scale * math.sqrt(t * (t + 2) / 4.0) for t in self.twice_js])
 
 
 @dataclass(frozen=True)

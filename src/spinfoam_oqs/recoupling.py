@@ -47,19 +47,20 @@ class Spin:
         return self.twice_j / 2.0
 
     def __str__(self) -> str:
-        if self.twice_j % 2 == 0:
-            return str(self.twice_j // 2)
-        return f"{self.twice_j}/2"
+        return spin_text(self.twice_j)
 
-    @staticmethod
-    def range(lo: "Spin | float | int | str", hi: "Spin | float | int | str") -> "tuple[Spin, ...]":
-        """All spins from lo to hi inclusive in steps of 1/2."""
-        a, b = as_spin(lo), as_spin(hi)
-        return tuple(Spin(t) for t in range(a.twice_j, b.twice_j + 1))
+
+def spin_text(twice_j: int) -> str:
+    """The spin of 2j value ``twice_j`` as text: "2" or "5/2"."""
+    return str(twice_j // 2) if twice_j % 2 == 0 else f"{twice_j}/2"
 
 
 def as_spin(value) -> Spin:
-    """Coerce ints (not bools), exact half-integer floats, fractions and '3/2' strings."""
+    """Coerce ints (not bools), exact half-integer floats, fractions and '3/2' strings.
+
+    The one spin parser: a public function given a spin reads its 2j as
+    ``as_spin(value).twice_j`` and passes 2j ints on.  A bare int is j.
+    """
     if isinstance(value, Spin):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -282,7 +283,7 @@ def wigner6j_batch(rows) -> np.ndarray:
         raise ValueError(f"twice_j must be non-negative, got {rows.min()}")
     if rows.max(initial=0) > table.two_j_max:
         row = rows[rows.max(axis=1).argmax()].tolist()
-        too_big = [str(Spin(t)) for t in row if t > table.two_j_max]
+        too_big = [spin_text(t) for t in row if t > table.two_j_max]
         raise SpinCapacityError(
             f"spins {too_big} exceed 2j_max={table.two_j_max}; "
             "raise the limit with recoupling.configure(two_j_max=...)"

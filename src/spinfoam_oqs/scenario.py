@@ -54,7 +54,7 @@ from .observables import (
     energy_release,
     temperature_series,
 )
-from .recoupling import Spin, as_spin
+from .recoupling import as_spin
 
 TOLERANCES = {
     "trace": TRACE_TOL,
@@ -129,11 +129,6 @@ def _links(value) -> tuple[int, ...]:
 def _index_pair(value, dim: int) -> tuple[int, int]:
     i, j = _list(value)
     return _integer(i, 0, dim), _integer(j, 0, dim)
-
-
-def _label(value) -> Spin | tuple[Spin, ...]:
-    """A pr3d basis label: one spin, or a list of slot spins."""
-    return tuple(map(as_spin, value)) if isinstance(value, (list, tuple)) else as_spin(value)
 
 
 def _link_map(name: str, value, what: str, parse) -> dict:
@@ -271,8 +266,8 @@ class ScenarioConfig:
             kind = foam.get("kind") if isinstance(foam, Mapping) else None
             if not isinstance(kind, str) or kind not in _FOAMS:
                 raise ScenarioError(f"unknown foam kind {kind!r} in foam.kind")
-            internal = (Spin(0), _field("foam.internal_max", _SPIN, foam.get("internal_max", "4"),
-                                        as_spin))
+            internal = (0, _field("foam.internal_max", _SPIN, foam.get("internal_max", "4"),
+                                  as_spin))
             if kind == "chain":
                 vertices = _field("foam.vertices", "an integer >= 2", foam.get("vertices", 2),
                                   lambda v: _integer(v, 2))
@@ -303,20 +298,21 @@ class ScenarioConfig:
             _check_kappa_table(cfg.get("kappa"), cfg.get("basis"))
             source["kappa_rows"] = np.asarray(cfg["kappa"], dtype=float)
             cfg.setdefault("basis", [str(i) for i in range(len(cfg["kappa"]))])
-        what, parse = (_SPIN, _label) if backend == "pr3d" else ("a string", _string)
-        basis = tuple(_field(f"basis[{i}]", what, label, parse) for i, label
-                      in enumerate(_field("basis", "a list of labels", cfg.get("basis"), _list)))
+        # A pr3d label is one spin or a list of slot spins, named as W lists it.
+        what, parse = (_SPIN, label_str) if backend == "pr3d" else ("a string", _string)
+        labels = _field("basis", "a list of labels", cfg.get("basis"), _list)
+        basis = tuple(_field(f"basis[{i}]", what, label, parse) for i, label in enumerate(labels))
         if backend == "asymptotic" and len(basis) != 2:
             raise ScenarioError(f"basis must be two labels for asymptotic, got {cfg['basis']!r}")
         if backend == "pr3d":
-            source["labels"], basis = basis, tuple(map(label_str, basis))
+            source["labels"] = tuple(labels)
         pairs = cfg.setdefault("coherences", [])
         coherences = tuple(
             _field(f"coherences[{k}]", f"a pair of basis indices in [0, {len(basis)})", pair,
                    lambda v: _index_pair(v, len(basis)))
             for k, pair in enumerate(_field("coherences", "a list of index pairs", pairs, _list)))
         try:  # energy levels when the labels are distinct single spins
-            spectrum = EnergySpectrum(tuple(map(as_spin, source.get("labels", basis))), scale)
+            spectrum = EnergySpectrum(source.get("labels", basis), scale)
         except (ValueError, TypeError, ArithmeticError):
             spectrum = None
         return cls(cfg, basis, normalization, evolution, _initial_state(evo.get("initial"), basis),

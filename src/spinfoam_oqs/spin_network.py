@@ -154,14 +154,6 @@ def validate(net: SpinNetwork) -> tuple[bool, list[str]]:
     return (not diagnostics, diagnostics)
 
 
-@dataclass(frozen=True)
-class BoundaryEnd:
-    """A dangling link end of a sub-spin-network, with its spin."""
-
-    link_id: int
-    spin: Spin
-
-
 class SubSpinNetwork(SpinNetwork):
     """Connected portion of a spin-network with dangling boundary links.
 
@@ -184,12 +176,6 @@ class SubSpinNetwork(SpinNetwork):
             comps = _components(self)
             if len(comps) > 1:
                 raise DisconnectedSubsetError(comps)
-
-    @property
-    def boundary(self) -> tuple[BoundaryEnd, ...]:
-        return tuple(
-            BoundaryEnd(l.link_id, l.spin) for l in self.links if l.dangling
-        )
 
 
 def _components(net: SpinNetwork) -> list[list[int]]:

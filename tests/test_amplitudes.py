@@ -31,7 +31,6 @@ from spinfoam_oqs.amplitudes import (
     disconnected_pair_foam,
     interference_weight,
     kappa_from_W,
-    label_spins,
     label_str,
     pr_transition,
     pr_vertex,
@@ -173,9 +172,51 @@ def test_foam_provider_hermitian_modulus_for_symmetric_bath():
     assert np.allclose(np.abs(W.entries), np.abs(W.entries.T), atol=1e-12)
 
 
+def readme_W(j_max="2", labels=("0", "1", "2")) -> TransitionMatrix:
+    """W of the README's library-use snippet."""
+    bath = BoundaryState.gaussian({7: 0.03, 8: 0.03, 1: 0.22, 2: 0.22,
+                                   6: 0.22, 4: 0.22, 5: 0.22, 9: 0.22})
+    provider = FoamProvider(cascade_pair_foam(), (0,), (3,), bath=bath, j_max=j_max)
+    return transition_matrix(provider, list(labels))
+
+
+def triple_W(label) -> TransitionMatrix:
+    """W of a two-vertex chain over ``label`` and one more slot-spin label."""
+    provider = FoamProvider(chain_foam(2, ("0", "2")), (0, 1, 2), (3, 4, 5), j_max="2")
+    return transition_matrix(provider, [label, ("1", "1", "1")])
+
+
+def chain_target_W(internal_max, j_max) -> TransitionMatrix:
+    from spinfoam_oqs.bathfit import admissible_triple_basis, chain_target
+
+    return chain_target(3, admissible_triple_basis(4, seed=0), internal_max, j_max)
+
+
+# Each case: W from spins in one form, and W from the same spins as text.
+# A bare int is j everywhere, so an entry point that read it as 2j fails here.
+SPIN_FORMS = {
+    "j_max int": (lambda: readme_W(j_max=2), readme_W),
+    "j_max float": (lambda: readme_W(j_max=2.0), readme_W),
+    "j_max Spin": (lambda: readme_W(j_max=Spin(4)), readme_W),
+    "labels int": (lambda: readme_W(labels=[0, 1, 2]), readme_W),
+    "labels Spin": (lambda: readme_W(labels=[Spin(0), Spin(2), Spin(4)]), readme_W),
+    "tuple label Spin": (lambda: triple_W((Spin(1), Spin(1), Spin(2))),
+                         lambda: triple_W(("1/2", "1/2", "1"))),
+    "chain_target Spin": (lambda: chain_target_W(Spin(4), Spin(5)),
+                          lambda: chain_target_W("2", "5/2")),
+}
+
+
+@pytest.mark.parametrize("name", SPIN_FORMS)
+def test_W_bytes_do_not_depend_on_the_form_spins_arrive_in(name):
+    variant, text = (build() for build in SPIN_FORMS[name])
+    assert variant.basis == text.basis
+    assert np.any(text.entries) and variant.entries.tobytes() == text.entries.tobytes()
+
+
 def test_provider_error_carries_context():
     class Broken:
-        def matrix(self, labels):
+        def _matrix(self, twice_js):
             raise RuntimeError("boom")
 
     with pytest.raises(ProviderError) as err:
@@ -454,6 +495,11 @@ def fused_cases(draw):
     return provider, labels
 
 
+def slot_spins(label, n_slots):
+    """A basis label's spin on each of ``n_slots`` slots: one spin fills them all."""
+    return tuple(label) if isinstance(label, (tuple, list)) else (label,) * n_slots
+
+
 def entrywise_W(provider, labels):
     """W from one ``pr_transition`` per entry: delta pins merged with the bath.
 
@@ -464,8 +510,8 @@ def entrywise_W(provider, labels):
     W = np.zeros((d, d), dtype=complex)
     for n in range(d):
         for m in range(d):
-            pins = dict(zip(provider.in_links, label_spins(labels[m], len(provider.in_links))))
-            pins.update(zip(provider.out_links, label_spins(labels[n], len(provider.out_links))))
+            pins = dict(zip(provider.in_links, slot_spins(labels[m], len(provider.in_links))))
+            pins.update(zip(provider.out_links, slot_spins(labels[n], len(provider.out_links))))
             state = BoundaryState.delta(pins)
             bath = provider.bath
             if isinstance(bath, TiedGaussianBath):
@@ -474,7 +520,7 @@ def entrywise_W(provider, labels):
                 bath = BoundaryState.gaussian(centers)
             if bath is not None:
                 state = state.merged(bath)
-            W[n, m] = pr_transition(provider.foam, state, provider.j_max)
+            W[n, m] = pr_transition(provider.foam, state, Spin(provider.two_j_max))
     return W
 
 

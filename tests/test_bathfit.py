@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from spinfoam_oqs import bathfit
-from spinfoam_oqs.amplitudes import TransitionMatrix, label_spins, label_str, pr_vertex
+from spinfoam_oqs.amplitudes import TransitionMatrix, label_str, pr_vertex
 from spinfoam_oqs.bathfit import (
     CostHistogram,
     FitProblem,
@@ -291,7 +291,7 @@ def test_vertex_tables_match_the_per_entry_scalar_fill(model):
     triples = (model.bath_triples_in, model.bath_triples_out)
     for table, baths in zip(model.tables(), triples):
         scalar = np.array(
-            [[pr_vertex(*label_spins(label, 3), *bath) for bath in baths] for label in model.basis],
+            [[pr_vertex(*label, *bath) for bath in baths] for label in model.basis],
             dtype=complex,
         )
         assert table.tobytes() == scalar.tobytes()
@@ -314,6 +314,14 @@ def test_one_triple_model_recovers_its_own_target():
     assert result.status == "ok"
     assert result.evaluations == 1
     assert result.cost <= 1e-12
+
+
+def test_two_vertex_model_parses_its_spins_when_made():
+    single_bath = (("1", "2", "2"),)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        TwoVertexModel(((1, 1, 2),), (("x", "1", "1"),), single_bath)
+    with pytest.raises(ValueError, match=r"label \(1,1\) does not fill 3 slots"):
+        TwoVertexModel(((1, 1),), single_bath, single_bath)
 
 
 def test_fit_problem_rejects_zero_norm_target():

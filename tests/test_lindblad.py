@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -673,6 +673,9 @@ block_kappa_tables = st.builds(
 
 @given(block_kappa_tables)
 @settings(max_examples=150, deadline=None)
+# Two states no jump leaves: the generic kernel once kept round-off
+# residuals here and returned 50 states for a 4-dimensional kernel.
+@example(block_kappa(np.random.default_rng(45089254), 7, 1, 0, "over_m", 0.0, True))
 def test_kappa_steady_states_one_per_closed_class(km):
     states = kappa_steady_states(km)
     assert len(states) == closed_class_count(km.entries)
@@ -702,6 +705,14 @@ def test_kappa_steady_states_one_per_closed_class(km):
     assert np.max(np.abs(span_projector(diagonals) - span_projector(pops))) <= 1e-9
     if len(states) == 1:
         assert np.max(np.abs(states[0] - generic[0])) <= 1e-12
+
+
+def test_steady_states_count_must_be_dim_ker(monkeypatch):
+    # With no span tolerance the round-off directions of this table are kept.
+    km = block_kappa(np.random.default_rng(45089254), 7, 1, 0, "over_m", 0.0, True)
+    monkeypatch.setattr(lindblad, "SPAN_TOL", 0.0)
+    with pytest.raises(InvariantViolation, match="steady states for a kernel of dimension 4$"):
+        steady_states(kappa_generator(km))
 
 
 # --- invariants ----------------------------------------------------------------------

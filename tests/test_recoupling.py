@@ -402,8 +402,3 @@ def test_configure_rejects_a_limit_the_packed_key_cannot_hold():
     with pytest.raises(ValueError, match="exceeds 1023"):
         recoupling.configure(two_j_max=1024)
     assert recoupling.cache_info()["two_j_max"] == 40
-
-
-def test_spin_range():
-    spins = Spin.range("1/2", 2)
-    assert [s.twice_j for s in spins] == [1, 2, 3, 4]

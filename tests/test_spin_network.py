@@ -68,11 +68,11 @@ def test_extract_full_subset_gives_empty_complement():
 def test_extract_one_node_of_theta():
     net = theta_graph((1, "3/2", "1/2"))
     part, complement = extract_sub(net, [0])
-    assert sorted(e.spin.twice_j for e in part.boundary) == [1, 2, 3]
-    assert sorted(e.spin.twice_j for e in complement.boundary) == [1, 2, 3]
+    assert sorted(l.spin.twice_j for l in part.dangling_links()) == [1, 2, 3]
+    assert sorted(l.spin.twice_j for l in complement.dangling_links()) == [1, 2, 3]
     # matching spins link-by-link through provenance
-    for end in part.boundary:
-        twin = [e for e in complement.boundary if e.link_id == end.link_id]
+    for end in part.dangling_links():
+        twin = [l for l in complement.dangling_links() if l.link_id == end.link_id]
         assert twin and twin[0].spin == end.spin
 
 

@@ -5,8 +5,12 @@ A public name passes when package code outside its own definition uses it
 (the re-exports in ``__init__`` do not count), when
 ``tests/test_acceptance.py`` uses it, when the README names it in code
 (backticks or a fenced block), or when ``KEPT`` gives the reason it stays.
-Members are keyed ``Class.member`` in ``KEPT``.  A name that passes none
-of these is dead surface: delete it with its tests, or give it a caller.
+A member is read only as an attribute: ``x.member`` in package code or in
+``tests/test_acceptance.py``, ``.member`` or ``Class.member`` in README
+code; a bare name of the same spelling, such as the builtin ``range``,
+does not count.  Members are keyed ``Class.member`` in ``KEPT``.  A name
+that passes none of these is dead surface: delete it with its tests, or
+give it a caller.
 """
 
 import ast
@@ -39,12 +43,13 @@ KEPT = {
 }
 
 
-def name_uses(nodes) -> Counter:
-    """How often the given AST nodes use each name and attribute name."""
+def name_uses(nodes, attributes_only: bool = False) -> Counter:
+    """How often the given AST nodes use each attribute name and, unless
+    ``attributes_only``, each bare name."""
     uses = Counter()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and not attributes_only:
                 uses[sub.id] += 1
             elif isinstance(sub, ast.Attribute):
                 uses[sub.attr] += 1
@@ -52,15 +57,16 @@ def name_uses(nodes) -> Counter:
 
 
 def public_definitions(tree: ast.Module):
-    """(``name`` or ``Class.member``, node) of each public top-level function
-    and class, and of each public method and property of a public class."""
+    """(``name`` or ``Class.member``, node, whether it is a member) of each
+    public top-level function and class, and of each public method and
+    property of a public class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                        yield f"{node.name}.{member.name}", member
+                        yield f"{node.name}.{member.name}", member, True
 
 
 def unread_names() -> list[str]:
@@ -70,17 +76,20 @@ def unread_names() -> list[str]:
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "__init__"
     }
-    uses = name_uses(trees.values())
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
-    readers = set(name_uses([acceptance])) | set(re.findall(r"\w+", " ".join(code)))
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+    uses, readers = {}, {}
+    for member in (False, True):  # a member is read as an attribute only
+        uses[member] = name_uses(trees.values(), member)
+        readers[member] = set(name_uses([acceptance], member)) | set(
+            re.findall(r"\.(\w+)" if member else r"\w+", code))
     return [
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name, node in public_definitions(tree)
-        if uses[node.name] == name_uses([node])[node.name]  # used by its own definition at most
-        and node.name not in readers
+        for name, node, member in public_definitions(tree)
+        if uses[member][node.name] == name_uses([node], member)[node.name]  # own definition at most
+        and node.name not in readers[member]
     ]
 
 
