@@ -293,7 +293,7 @@ def basis_from_network_file(path) -> tuple[tuple[Spin, Spin, Spin], ...]:
     from .spin_network import parse_network
 
     with open(path, "r", encoding="utf-8") as fh:
-        net = parse_network(fh.read())
+        net = parse_network(fh.read(), str(path))
     labels: list[tuple[Spin, Spin, Spin]] = []
     for node in sorted(net.nodes):
         incident = net.incident_links(node)

@@ -4,28 +4,25 @@ Spins are stored as doubled integers (``twice_j``) so that admissibility
 checks and the Racah sum are exact.  The single-sum Racah formula is
 evaluated with arbitrary-precision rationals; the square root of the
 triangle-coefficient product is split into an exact rational part and a
-squarefree integer using a shared prime-factorized factorial table.  The
-float returned is therefore correct to a couple of ulp, and repeated
-evaluations are bit-identical.  Each symbol is stored once, under the
-smallest of its 24 equivalent orderings packed into one int64; keys are
-computed for a whole batch in NumPy, and ``wigner6j`` is a batch of one.
+squarefree integer from the prime exponents of each factorial, found
+once per argument by Legendre's formula (Johansson & Forssen, SIAM J.
+Sci. Comput. 38 (2016) A376).  The float returned is therefore correct
+to a couple of ulp, and repeated evaluations are bit-identical.  Each
+symbol is stored once, under the smallest of its 24 equivalent orderings
+packed into one int64, which holds 2j <= 1023, the only spin limit; keys
+are computed for a whole batch in NumPy, and ``wigner6j`` is a batch of
+one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-DEFAULT_TWO_J_MAX = 40
-
-
-class SpinCapacityError(ValueError):
-    """Requested spins exceed the capacity of the shared factorial table."""
-
 
 @dataclass(frozen=True, order=True)
 class Spin:
@@ -84,67 +81,32 @@ def as_spin(value) -> Spin:
     raise TypeError(f"cannot interpret {value!r} as a spin")
 
 
+def _triangle(ta: int, tb: int, tc: int) -> bool:
+    """The triangle rule on 2j values: |a-b| <= c <= a+b with integer total spin."""
+    return (ta + tb + tc) % 2 == 0 and abs(ta - tb) <= tc <= ta + tb
+
+
 def triangle_ok(a, b, c) -> bool:
-    """Triangle rule: |a-b| <= c <= a+b with integer total spin."""
-    ta, tb, tc = as_spin(a).twice_j, as_spin(b).twice_j, as_spin(c).twice_j
-    if (ta + tb + tc) % 2 != 0:
-        return False
-    return abs(ta - tb) <= tc <= ta + tb
+    """The triangle rule on three spins."""
+    return _triangle(as_spin(a).twice_j, as_spin(b).twice_j, as_spin(c).twice_j)
 
 
-def _sieve(n: int) -> list[int]:
-    flags = bytearray([1]) * (n + 1)
-    flags[:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [p for p in range(n + 1) if flags[p]]
+@functools.cache
+def _factorial_exponents(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, exponent of p in n!) for each prime p <= n, by Legendre's formula.
 
-
-class FactorialTable:
-    """Shared table of factorials, plain and as prime-exponent vectors.
-
-    Sized so that every factorial reached by the Racah sum for spins with
-    2j <= two_j_max is covered; larger spins raise SpinCapacityError.
+    The memo stays small: the key's limit 2j <= 1023 keeps n <= 1535.
     """
+    pairs = []
+    for p in range(2, n + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            e, power = 0, p
+            while power <= n:
+                e += n // power
+                power *= p
+            pairs.append((p, e))
+    return tuple(pairs)
 
-    def __init__(self, two_j_max: int = DEFAULT_TWO_J_MAX):
-        if two_j_max < 1:
-            raise ValueError("two_j_max must be >= 1")
-        self.two_j_max = two_j_max
-        # Largest factorial argument: t+1 with t <= j1+j2+j4+j5 <= 2*two_j_max.
-        self.n_max = 2 * two_j_max + 2
-        self.primes = _sieve(self.n_max)
-        index = {p: i for i, p in enumerate(self.primes)}
-        nprimes = len(self.primes)
-        exps = [[0] * nprimes]
-        for n in range(1, self.n_max + 1):
-            row = exps[-1].copy()
-            m = n
-            for p in self.primes:
-                if p * p > m:
-                    break
-                while m % p == 0:
-                    row[index[p]] += 1
-                    m //= p
-            if m > 1:
-                row[index[m]] += 1
-            exps.append(row)
-        self._exponents = exps
-        facts = [1]
-        for n in range(1, self.n_max + 1):
-            facts.append(facts[-1] * n)
-        self._factorials = facts
-
-    def factorial(self, n: int) -> int:
-        return self._factorials[n]
-
-    def exponents(self, n: int) -> list[int]:
-        return self._exponents[n]
-
-
-_table_lock = threading.Lock()
-_table = FactorialTable()
 
 # A canonical key packs six 2j values of _KEY_BITS bits each into one
 # int64, upper row first, so that integer order is tuple order.
@@ -159,17 +121,8 @@ _cache: dict[int, float] = {}  # packed canonical key -> value
 _cache_lock = threading.Lock()
 
 
-def configure(two_j_max: int = DEFAULT_TWO_J_MAX) -> None:
-    """Resize the shared factorial table (keeps previously cached values)."""
-    global _table
-    if two_j_max > _KEY_MASK:
-        raise ValueError(f"two_j_max={two_j_max} exceeds {_KEY_MASK}, the largest 2j a key holds")
-    with _table_lock:
-        _table = FactorialTable(two_j_max)
-
-
 def cache_info() -> dict:
-    return {"entries": len(_cache), "two_j_max": _table.two_j_max}
+    return {"entries": len(_cache)}
 
 
 def clear_cache() -> None:
@@ -199,16 +152,12 @@ _TRIADS = ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2))
 
 
 def _admissible(tjs: tuple[int, ...]) -> bool:
-    for a, b, c in _TRIADS:
-        ta, tb, tc = tjs[a], tjs[b], tjs[c]
-        if (ta + tb + tc) % 2 != 0 or not (abs(ta - tb) <= tc <= ta + tb):
-            return False
-    return True
+    return all(_triangle(tjs[a], tjs[b], tjs[c]) for a, b, c in _TRIADS)
 
 
-def _racah_value(tjs: tuple[int, ...], table: FactorialTable) -> float:
+def _racah_value(tjs: tuple[int, ...]) -> float:
     """Exact Racah single sum; returns sign(S*Q) * sqrt((S*Q)^2 * F)."""
-    fact = table.factorial
+    fact = math.factorial
 
     triad_sums = [(tjs[a] + tjs[b] + tjs[c]) // 2 for a, b, c in _TRIADS]
     quad_sums = [
@@ -231,21 +180,18 @@ def _racah_value(tjs: tuple[int, ...], table: FactorialTable) -> float:
         return 0.0
 
     # Product of the four triangle coefficients as prime exponents.
-    nprimes = len(table.primes)
-    exp_sum = [0] * nprimes
+    exponents: dict[int, int] = {}
     for a, b, c in _TRIADS:
         ta, tb, tc = tjs[a], tjs[b], tjs[c]
         for arg in ((ta + tb - tc) // 2, (ta - tb + tc) // 2, (-ta + tb + tc) // 2):
-            row = table.exponents(arg)
-            for i in range(nprimes):
-                exp_sum[i] += row[i]
-        row = table.exponents((ta + tb + tc) // 2 + 1)
-        for i in range(nprimes):
-            exp_sum[i] -= row[i]
+            for p, e in _factorial_exponents(arg):
+                exponents[p] = exponents.get(p, 0) + e
+        for p, e in _factorial_exponents((ta + tb + tc) // 2 + 1):
+            exponents[p] = exponents.get(p, 0) - e
 
     rational = Fraction(1)
     squarefree = 1
-    for p, e in zip(table.primes, exp_sum):
+    for p, e in exponents.items():
         if e == 0:
             continue
         q, r = divmod(e, 2)  # r in {0, 1} also for negative e
@@ -274,26 +220,23 @@ def wigner6j_batch(rows) -> np.ndarray:
 
     Rows are reduced to their packed canonical keys; each distinct key is
     looked up once, and only a key not yet stored goes through the exact
-    Racah sum.  Raises ValueError on a negative 2j and SpinCapacityError
-    on one above the factorial table's ``two_j_max``.
+    Racah sum.  Raises ValueError on a negative 2j, and on one above 1023,
+    the largest a packed key holds, naming the spin; such a row is never
+    packed.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
-    table = _table
     if rows.min(initial=0) < 0:
         raise ValueError(f"twice_j must be non-negative, got {rows.min()}")
-    if rows.max(initial=0) > table.two_j_max:
+    if rows.max(initial=0) > _KEY_MASK:
         row = rows[rows.max(axis=1).argmax()].tolist()
-        too_big = [spin_text(t) for t in row if t > table.two_j_max]
-        raise SpinCapacityError(
-            f"spins {too_big} exceed 2j_max={table.two_j_max}; "
-            "raise the limit with recoupling.configure(two_j_max=...)"
-        )
+        too_big = [spin_text(t) for t in row if t > _KEY_MASK]
+        raise ValueError(f"spins {too_big} exceed 2j = {_KEY_MASK}, the largest a 6j key holds")
     keys, inverse = np.unique(_canonical_keys(rows), return_inverse=True)
     values = list(map(_cache.get, keys.tolist()))
     missing = [i for i, value in enumerate(values) if value is None]
     spins = (keys[missing, None] >> _KEY_SHIFTS & _KEY_MASK).tolist()
     for i, tjs in zip(missing, spins):
-        values[i] = _racah_value(tjs, table) if _admissible(tjs) else 0.0
+        values[i] = _racah_value(tjs) if _admissible(tjs) else 0.0
     with _cache_lock:
         _cache.update((keys.item(i), values[i]) for i in missing)
     return np.array(values)[inverse]

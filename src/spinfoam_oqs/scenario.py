@@ -54,7 +54,7 @@ from .observables import (
     energy_release,
     temperature_series,
 )
-from .recoupling import as_spin
+from .recoupling import Spin, as_spin
 
 TOLERANCES = {
     "trace": TRACE_TOL,
@@ -136,6 +136,11 @@ def _link_map(name: str, value, what: str, parse) -> dict:
     links = _field(name, "a JSON object keyed by link indices", value,
                    lambda v: {int(link): x for link, x in _mapping(v).items()})
     return {link: _field(f"{name}['{link}']", what, x, parse) for link, x in links.items()}
+
+
+def _pr3d_label(label) -> Spin | tuple[Spin, ...]:
+    """A pr3d basis label parsed: one spin, or a tuple of slot spins."""
+    return tuple(map(as_spin, label)) if isinstance(label, (list, tuple)) else as_spin(label)
 
 
 def _bath(spec) -> BoundaryState | TiedGaussianBath | None:
@@ -298,14 +303,16 @@ class ScenarioConfig:
             _check_kappa_table(cfg.get("kappa"), cfg.get("basis"))
             source["kappa_rows"] = np.asarray(cfg["kappa"], dtype=float)
             cfg.setdefault("basis", [str(i) for i in range(len(cfg["kappa"]))])
-        # A pr3d label is one spin or a list of slot spins, named as W lists it.
-        what, parse = (_SPIN, label_str) if backend == "pr3d" else ("a string", _string)
         labels = _field("basis", "a list of labels", cfg.get("basis"), _list)
-        basis = tuple(_field(f"basis[{i}]", what, label, parse) for i, label in enumerate(labels))
+        if backend == "pr3d":  # one spin or a list of slot spins, named as W lists it
+            labels = source["labels"] = tuple(
+                _field(f"basis[{i}]", _SPIN, label, _pr3d_label) for i, label in enumerate(labels))
+            basis = tuple(map(label_str, labels))
+        else:
+            basis = tuple(_field(f"basis[{i}]", "a string", label, _string)
+                          for i, label in enumerate(labels))
         if backend == "asymptotic" and len(basis) != 2:
             raise ScenarioError(f"basis must be two labels for asymptotic, got {cfg['basis']!r}")
-        if backend == "pr3d":
-            source["labels"] = tuple(labels)
         pairs = cfg.setdefault("coherences", [])
         coherences = tuple(
             _field(f"coherences[{k}]", f"a pair of basis indices in [0, {len(basis)})", pair,

@@ -374,29 +374,55 @@ def union(
 #   link <id> <source|-> <target|-> <2j>
 # ---------------------------------------------------------------------------
 
-def parse_network(text: str) -> SpinNetwork:
-    nodes: list[int] = []
+def _record_int(where: str, what: str, text: str, least: int | None = None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} must be an integer, got {text!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{where}: {what} must be >= {least}, got {value}")
+    return value
+
+
+def parse_network(text: str, source: str = "network") -> SpinNetwork:
+    """The network of the records in ``text``; a bad record raises a
+    ValueError naming ``source`` and its line."""
+    node_lines: dict[int, int] = {}
     inter: dict[int, int] = {}
+    link_lines: dict[int, int] = {}
     links: list[Link] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind = parts[0]
+        where = f"{source}, line {lineno}"
+        kind, *fields = line.split()
         if kind == "node":
-            if len(parts) not in (2, 3):
-                raise ValueError(f"line {lineno}: malformed node record")
-            nodes.append(int(parts[1]))
-            if len(parts) == 3:
-                inter[int(parts[1])] = int(parts[2])
+            if len(fields) not in (1, 2):
+                raise ValueError(f"{where}: malformed node record")
+            node = _record_int(where, "node id", fields[0])
+            if node in node_lines:
+                raise ValueError(f"{where}: node {node} repeats line {node_lines[node]}")
+            node_lines[node] = lineno
+            if len(fields) == 2:
+                inter[node] = _record_int(where, "intertwiner", fields[1])
         elif kind == "link":
-            if len(parts) != 5:
-                raise ValueError(f"line {lineno}: malformed link record")
-            link_id = int(parts[1])
-            src = None if parts[2] == "-" else int(parts[2])
-            tgt = None if parts[3] == "-" else int(parts[3])
-            links.append(Link(link_id, src, tgt, Spin(int(parts[4]))))
+            if len(fields) != 4:
+                raise ValueError(f"{where}: malformed link record")
+            link_id = _record_int(where, "link id", fields[0])
+            if link_id in link_lines:
+                raise ValueError(f"{where}: link {link_id} repeats line {link_lines[link_id]}")
+            src, tgt = (None if f == "-" else _record_int(where, "link endpoint", f)
+                        for f in fields[1:3])
+            if src is None and tgt is None:
+                raise ValueError(f"{where}: link {link_id} has no attached endpoint")
+            link_lines[link_id] = lineno
+            links.append(Link(link_id, src, tgt, Spin(_record_int(where, "2j", fields[3], 0))))
         else:
-            raise ValueError(f"line {lineno}: unknown record kind {kind!r}")
-    return SpinNetwork(nodes, links, inter)
+            raise ValueError(f"{where}: unknown record kind {kind!r}")
+    for link in links:
+        for end in link.endpoints():
+            if end not in node_lines:
+                raise ValueError(f"{source}, line {link_lines[link.link_id]}: "
+                                 f"link {link.link_id} references unknown node {end}")
+    return SpinNetwork(node_lines, links, inter)

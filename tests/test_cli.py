@@ -442,6 +442,21 @@ def test_cli_evolve_exit_codes(tmp_path):
     assert rc_bad == 1
 
 
+def test_evolve_runs_spins_past_2j_40(tmp_path):
+    # The 6j kernel sizes itself from its spins: j up to 22 (2j = 44) needs no setup.
+    config = tmp_path / "j22.json"
+    config.write_text(json.dumps({
+        "backend": "pr3d", "jmax": 22, "basis": ["20", "21", "22"],
+        "foam": {"kind": "single_vertex"}, "in_links": [0, 1], "out_links": [3, 4],
+        "bath": {"kind": "gaussian", "centers": {"2": 21, "5": 21}},
+        "evolution": {"g": 0.5, "steps": 10, "initial": "20"},
+    }))
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    header, rows = read_csv(tmp_path / "run" / "W.csv")
+    assert header == ["out\\in", "20", "21", "22"]
+    assert all(complex(cell) != 0 for row in rows for cell in row[1:])
+
+
 def test_cli_jobs_batch(tmp_path, capsys):
     configs = [
         str(SCENARIOS / "explicit_kappa_identity.json"),
@@ -766,6 +781,33 @@ def test_cli_fit_and_sample_reject_bad_input_before_any_output(
     captured = capsys.readouterr()
     assert re.fullmatch(f"error: {message}.*\n", captured.err, flags=re.S)
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, record, message",
+    [
+        (3, "link 1 0 - x", "2j must be an integer, got 'x'"),
+        (3, "link 1 0 - -3", "2j must be >= 0, got -3"),
+        (2, "link 0 zero - 3", "link endpoint must be an integer, got 'zero'"),
+        (2, "link one 0 - 3", "link id must be an integer, got 'one'"),
+        (5, "node 0", "node 0 repeats line 1"),
+    ],
+    ids=["2j", "negative_2j", "endpoint", "link_id", "duplicate_node"],
+)
+def test_fit_names_the_line_of_a_bad_network_record(tmp_path, capsys, line, record, message):
+    lines = (SCENARIOS / "fit_basis.net").read_text().splitlines()
+    if message.startswith("node"):
+        lines.insert(line - 1, record)
+    else:
+        lines[line - 1] = record
+    (tmp_path / "basis.net").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = main(["fit", "--config", str(_fit_config(tmp_path, basis_file="basis.net")),
+               "--out", str(out)])
+    assert rc == 1
+    where = f"{tmp_path / 'basis.net'}, line {line}: "
+    assert capsys.readouterr().err == f"error: ValueError: {where}{message}\n"
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from spinfoam_oqs import recoupling
 from spinfoam_oqs.recoupling import (
     Spin,
-    SpinCapacityError,
     _admissible,
     _canonical_keys,
     _racah_value,
@@ -290,7 +289,7 @@ def test_pentagon_identity():
         checked += 1
 
 
-# --- cache and capacity -----------------------------------------------------
+# --- cache and the key's spin limit ------------------------------------------
 
 def test_cache_transparency():
     clear_cache()
@@ -300,10 +299,12 @@ def test_cache_transparency():
     assert first == second  # bit-identical
 
 
-def test_capacity_error_names_spins():
-    with pytest.raises(SpinCapacityError) as err:
-        wigner6j(Spin(41), 1, 1, 1, 1, 1)
-    assert "41/2" in str(err.value)
+def test_spin_above_the_key_limit_raises_naming_it():
+    entries = recoupling.cache_info()["entries"]
+    with pytest.raises(ValueError, match=r"\['2049/2'\] exceed 2j = 1023") as err:
+        wigner6j(Spin(2049), 1, 1, 1, 1, 1)
+    assert "2049/2" in str(err.value)
+    assert recoupling.cache_info()["entries"] == entries
 
 
 def test_batch_matches_scalar_bit_for_bit():
@@ -325,16 +326,9 @@ def test_batch_matches_scalar_bit_for_bit():
     assert wigner6j_batch(np.zeros((0, 6), dtype=int)).shape == (0,)
 
 
-def test_batch_capacity_error_names_spins():
-    with pytest.raises(SpinCapacityError) as err:
-        wigner6j_batch([(2, 2, 2, 2, 2, 2), (41, 1, 1, 1, 1, 1)])
-    assert "41/2" in str(err.value)
-
-
 def test_batch_rejects_a_negative_spin():
-    with pytest.raises(ValueError, match="non-negative, got -1") as err:
+    with pytest.raises(ValueError, match="non-negative, got -1"):
         wigner6j_batch([(2, 2, 2, 2, 2, 2), (1, 1, 2, 1, 1, -1)])
-    assert not isinstance(err.value, SpinCapacityError)
 
 
 any_row = st.lists(st.integers(min_value=0, max_value=12), min_size=6, max_size=6)
@@ -353,20 +347,30 @@ def test_batch_gives_the_racah_value_of_the_reference_key(rows, rng):
     expected = []
     for row in batch:
         key = reference_six_j_key(row)
-        expected.append(_racah_value(key, recoupling._table) if _admissible(key) else 0.0)
+        expected.append(_racah_value(key) if _admissible(key) else 0.0)
     clear_cache()
     cold = wigner6j_batch(batch)
     warm = wigner6j_batch(batch)
     assert cold.tobytes() == warm.tobytes() == np.array(expected).tobytes()
 
 
-@given(any_row, st.integers(min_value=0, max_value=5), st.integers(min_value=41, max_value=1023))
+@given(any_row, st.integers(min_value=0, max_value=5), st.integers(min_value=1024, max_value=4095))
 @settings(max_examples=40, deadline=None)
-def test_batch_rows_above_two_j_max_raise_naming_the_spin(row, slot, big):
+def test_batch_rows_above_the_key_limit_raise_naming_the_spin(row, slot, big):
+    # Such a row is rejected before any key is packed: 10 bits would alias it.
     row[slot] = big
-    with pytest.raises(SpinCapacityError) as err:
+    packed = []
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError) as err:
+        mp.setattr(recoupling, "_canonical_keys", packed.append)
         wigner6j_batch([(2, 2, 2, 2, 2, 2), row])
     assert repr(str(Spin(big))) in str(err.value)
+    assert not packed
+
+
+def test_the_largest_key_spin_is_accepted():
+    # {a b 1; 0 1 b} = (-1)^(a+b+1) / sqrt(3 (2b+1)) at 2a = 2b = 1023.
+    value = wigner6j_batch([(1023, 1023, 2, 0, 2, 1023)])[0]
+    assert value == pytest.approx(1 / math.sqrt(3 * 1024), rel=1e-14)
 
 
 def test_concurrent_insert_safety():
@@ -387,18 +391,8 @@ def test_concurrent_insert_safety():
     assert all(results[i] == baseline for i in results)
 
 
-def test_configure_raises_capacity_then_accepts():
-    try:
-        recoupling.configure(two_j_max=44)
-        value = wigner6j(Spin(42), Spin(42), Spin(42), Spin(42), Spin(42), Spin(42))
-        assert value == pytest.approx(oracle_6j(*[Spin(42)] * 6), abs=1e-13)
-    finally:
-        recoupling.configure()
-    with pytest.raises(SpinCapacityError):
-        wigner6j(Spin(42), Spin(42), Spin(42), Spin(42), Spin(42), Spin(42))
-
-
-def test_configure_rejects_a_limit_the_packed_key_cannot_hold():
-    with pytest.raises(ValueError, match="exceeds 1023"):
-        recoupling.configure(two_j_max=1024)
-    assert recoupling.cache_info()["two_j_max"] == 40
+def test_the_all_42_symbol_needs_no_setup():
+    # 2j = 84 on every edge: the factorials reached run to 127!, with no
+    # table to size first.
+    value = wigner6j(*[Spin(42)] * 6)
+    assert value == pytest.approx(oracle_6j(*[Spin(42)] * 6), abs=1e-13)

@@ -207,10 +207,16 @@ def test_parse_network_reads_links_and_dangling_ends():
 
 
 def test_parse_rejects_malformed_records():
-    with pytest.raises(ValueError):
-        parse_network("node zero\n")
-    with pytest.raises(ValueError):
-        parse_network("edge 0 1 2 3\n")
+    with pytest.raises(ValueError, match="^net, line 1: node id must be an integer, got 'zero'$"):
+        parse_network("node zero\n", "net")
+    with pytest.raises(ValueError, match="^network, line 2: unknown record kind 'edge'$"):
+        parse_network("# no nodes\nedge 0 1 2 3\n")
+    with pytest.raises(ValueError, match="^network, line 3: link 0 repeats line 2$"):
+        parse_network("node 0\nlink 0 0 - 1\nlink 0 - 0 1\n")
+    with pytest.raises(ValueError, match="^network, line 2: link 0 has no attached endpoint$"):
+        parse_network("node 0\nlink 0 - - 1\n")
+    with pytest.raises(ValueError, match="^network, line 2: link 0 references unknown node 1$"):
+        parse_network("node 0\nlink 0 0 1 1\nnode 2\n")
 
 
 def _random_admissible_network(seed):

@@ -32,7 +32,6 @@ KEPT = {
                          " in test_two_level_rho11_from_the_asymptotic_vertex",
     "extract_sub": "paper: the sub-network cut that union glues back",
     "area": "paper: the area spectrum the level energies follow (README: areas)",
-    "configure": "SpinCapacityError's message names it as the way to raise the spin limit",
     "cache_info": "perfbench reads the 6j cache counters through it",
     "clear_cache": "resets the global 6j cache that cache_info reports on",
     "BoundaryState.merged": "test oracle: joins the pins and the bath in the entrywise W"
